@@ -19,7 +19,7 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
-from .experiment import run_experiment, run_sweep
+from .experiment import _num, run_experiment, run_sweep
 from .metrics import audit_overhead
 from .simulation import ConfigInvalid, ExperimentConfig, World
 
@@ -110,10 +110,6 @@ def _out_dir(args: argparse.Namespace) -> Path:
     path = Path(root)
     path.mkdir(parents=True, exist_ok=True)
     return path
-
-
-def _num(x: float) -> str:
-    return str(int(x)) if float(x) == int(x) else str(x)
 
 
 def _add_config_flags(p: argparse.ArgumentParser, *, full: bool = True) -> None:

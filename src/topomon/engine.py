@@ -10,7 +10,6 @@ import hashlib
 import heapq
 import math
 import random
-from dataclasses import dataclass, field
 from typing import Any, Callable, TextIO
 
 SimTime = int  # milliseconds
@@ -33,11 +32,19 @@ def sample_exponential(rng: random.Random, mean_ms: float) -> int:
     return max(1, round(rng.expovariate(1.0 / mean_ms)))
 
 
+# Largest mean `sample_poisson` accepts. Knuth's method stops once the
+# running product of uniforms falls to exp(-mean), which is a normal double
+# only up to mean ~708.4; past that it loses precision, and near mean 745 it
+# underflows to 0, so every draw saturates at about 745.
+POISSON_MAX_MEAN = 700
+
+
 def sample_poisson(rng: random.Random, mean: float) -> int:
-    """Poisson draw via Knuth multiplication; adequate for the small means
-    used by scan scheduling (mean <= ~30)."""
-    if mean <= 0:
-        raise ValueError("mean must be positive")
+    """Poisson draw via Knuth multiplication: exact for 0 < mean <=
+    POISSON_MAX_MEAN, at O(mean) uniforms per draw, so meant for the small
+    means of scan scheduling (mean <= ~30)."""
+    if not 0 < mean <= POISSON_MAX_MEAN:
+        raise ValueError(f"mean must be in (0, {POISSON_MAX_MEAN}]")
     limit = math.exp(-mean)
     k = 0
     p = 1.0
@@ -48,13 +55,16 @@ def sample_poisson(rng: random.Random, mean: float) -> int:
         k += 1
 
 
-@dataclass(order=True)
 class _Entry:
-    fire_at: SimTime
-    seq: int
-    kind: str = field(compare=False)
-    data: tuple = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
+    """A scheduled event. Setting `cancelled` makes `run_until` skip it."""
+
+    __slots__ = ("fire_at", "kind", "data", "cancelled")
+
+    def __init__(self, fire_at: SimTime, kind: str, data: tuple) -> None:
+        self.fire_at = fire_at
+        self.kind = kind
+        self.data = data
+        self.cancelled = False
 
 
 class Engine:
@@ -62,13 +72,15 @@ class Engine:
 
     Handlers are registered per event kind; `schedule` enqueues, `run_until`
     drains in (fire_at, seq) order. Ties on fire_at resolve in scheduling
-    order, which is what makes runs reproducible.
+    order, which is what makes runs reproducible. The heap holds
+    `(fire_at, seq, entry)` tuples; `seq` is unique, so ordering is decided
+    by tuple comparison of two ints and never reaches the entry.
     """
 
     def __init__(self, seed: int, trace: TextIO | None = None) -> None:
         self.seed = seed
         self.now: SimTime = 0
-        self._heap: list[_Entry] = []
+        self._heap: list[tuple[SimTime, int, _Entry]] = []
         self._seq = 0
         self._handlers: dict[str, Callable[..., None]] = {}
         self._trace = trace
@@ -87,20 +99,21 @@ class Engine:
     def schedule(self, delay_ms: int, kind: str, *data: Any) -> _Entry:
         if delay_ms < 0:
             raise ValueError("delay_ms must be >= 0")
-        entry = _Entry(self.now + delay_ms, self._seq, kind, data)
+        entry = _Entry(self.now + delay_ms, kind, data)
+        heapq.heappush(self._heap, (entry.fire_at, self._seq, entry))
         self._seq += 1
-        heapq.heappush(self._heap, entry)
         return entry
 
     def run_until(self, t_end: SimTime) -> int:
         """Process every event with fire_at <= t_end; advance clock to t_end."""
+        heap, handlers, pop = self._heap, self._handlers, heapq.heappop
         processed = 0
-        while self._heap and self._heap[0].fire_at <= t_end:
-            entry = heapq.heappop(self._heap)
+        while heap and heap[0][0] <= t_end:
+            fire_at, _, entry = pop(heap)
             if entry.cancelled:
                 continue
-            self.now = entry.fire_at
-            handler = self._handlers.get(entry.kind)
+            self.now = fire_at
+            handler = handlers.get(entry.kind)
             if handler is None:
                 raise KeyError(f"no handler for event kind {entry.kind!r}")
             handler(*entry.data)
@@ -108,9 +121,6 @@ class Engine:
         self.now = t_end
         self.events_processed += processed
         return processed
-
-    def pending(self) -> int:
-        return sum(1 for e in self._heap if not e.cancelled)
 
     def trace(self, kind: str, frm: Any = "-", to: Any = "-", detail: str = "") -> None:
         if self._trace is not None:

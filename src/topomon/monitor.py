@@ -6,6 +6,13 @@ timeout, and rewrites the target's outbound row in its local view from the
 collected set. The per-node scan frequency breathes with observed change:
 idle rows slow down, churning rows speed up.
 
+The view is kept as per-node rows: `out[a]` holds the peers a's outbound
+row points at and `inb[b]` the nodes whose rows point at b, always the
+mirror of each other. Every round reads and rewrites only its target's
+row and the rows of that target's neighbours, so a round costs O(degree)
+whatever the population; the aggregate snapshot is the only pass over
+every edge, and `edges` derives the flat (a, b) pairs on demand.
+
 Two timeliness details matter for how fresh the view stays under churn:
 relayed confirmations are inserted into the view the moment they arrive
 (removals still wait for round close), and a departure triggers immediate
@@ -63,7 +70,8 @@ class Monitor:
         self.timeout_ms = timeout_ms
         self.mode = mode
         self.nodes: set[int] = set()
-        self.edges: set[tuple[int, int]] = set()
+        self.out: dict[int, set[int]] = {}
+        self.inb: dict[int, set[int]] = {}
         self.freq: dict[int, int] = {}
         self.rounds: dict[int, Round] = {}
         self.rescan_on_close: set[int] = set()
@@ -82,12 +90,20 @@ class Monitor:
         self.freq.pop(n, None)
         self.rounds.pop(n, None)
         self.rescan_on_close.discard(n)
-        repair = sorted({a for a, b in self.edges if b == n})
-        self.edges = {(a, b) for a, b in self.edges if a != n and b != n}
+        repair = sorted(self.inb.pop(n, ()))
+        for a in repair:
+            self.out[a].discard(n)
+        for b in self.out.pop(n, ()):
+            self.inb[b].discard(n)
         return repair
 
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The view as (a, b) pairs; built on each call, for reading only."""
+        return frozenset((a, b) for a, row in self.out.items() for b in row)
+
     def outbound_row(self, target: int) -> frozenset[int]:
-        return frozenset(b for a, b in self.edges if a == target)
+        return frozenset(self.out.get(target, ()))
 
     # -- verification rounds ---------------------------------------------------
 
@@ -116,7 +132,9 @@ class Monitor:
         if sender == m.target or sender == self.id or sender not in self.nodes:
             return False
         rnd.collected.add(sender)
-        self.edges.add((m.target, sender))  # confirmed link, visible at once
+        # confirmed link, visible at once
+        self.out.setdefault(m.target, set()).add(sender)
+        self.inb.setdefault(sender, set()).add(m.target)
         return True
 
     def close_round(self, target: int) -> frozenset[int]:
@@ -134,9 +152,12 @@ class Monitor:
         return how many edges changed against the pre-round row."""
         if prior is None:
             prior = self.outbound_row(target)
-        row = {p for p in collected if p in self.nodes}
-        self.edges = {(a, b) for a, b in self.edges if a != target}
-        self.edges |= {(target, p) for p in row}
+        row = self.nodes.intersection(collected)
+        for b in self.out.get(target, ()):
+            self.inb[b].discard(target)
+        self.out[target] = row
+        for p in row:
+            self.inb.setdefault(p, set()).add(target)
         return len(prior.symmetric_difference(collected))
 
     def adjust_frequency(self, target: int, c: int) -> None:
@@ -150,9 +171,8 @@ class Monitor:
         # c == 1 leaves the frequency unchanged
 
     def build_verified_message(self, target: int) -> VerifiedMsg:
-        peers = {b for a, b in self.edges if a == target}
-        peers |= {a for a, b in self.edges if b == target}
-        return VerifiedMsg(frozenset(peers))
+        peers = frozenset(self.out.get(target, ()))
+        return VerifiedMsg(peers.union(self.inb.get(target, ())))
 
     def schedule_next_round(self, target: int, rng: random.Random) -> int:
         """Delay in ms from round start to the next round's start."""

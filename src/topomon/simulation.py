@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from topomon.adversary import Adversary, AdversaryPolicy, SingleBehavior
-from topomon.engine import Engine, sample_exponential, substream
+from topomon.engine import POISSON_MAX_MEAN, Engine, sample_exponential, substream
 from topomon.metrics import OverheadLedger, classify_edges
 from topomon.monitor import Monitor, compute_global_snapshot
 from topomon.protocol import NodeState
@@ -77,10 +77,20 @@ class ExperimentConfig:
             bad.append("need f_min <= f_init <= f_max")
         if self.f_min < 1:
             bad.append("f_min must be >= 1")
+        if self.scheduling_mode == "poisson" and self.f_max > POISSON_MAX_MEAN:
+            # Poisson scan delays are drawn with mean up to f_max
+            bad.append(f"f_max must be <= {POISSON_MAX_MEAN} in poisson mode")
+        if self.duration_ms < 0:
+            bad.append("duration_ms must be >= 0")
+        if self.probe_every_ms < 1:
+            # the probe reschedules itself this far ahead; 0 never advances
+            bad.append("probe_every_ms must be >= 1")
         if self.probe_every_ms > self.duration_ms:
             bad.append("probe_every_ms must not exceed duration_ms")
         if self.round_timeout_ms < 1:
             bad.append("round_timeout_ms must be >= 1")
+        if self.safe_rounds < 0:
+            bad.append("safe_rounds must be >= 0")
         if self.scheduling_mode not in ("poisson", "fixed"):
             bad.append(f"unknown scheduling_mode {self.scheduling_mode!r}")
         lo, hi = self.latency_ms_range

@@ -184,7 +184,8 @@ def test_poisson_mode_delay_clamped_and_centered():
 
 def test_verified_message_joins_outbound_row_and_inbound_edges():
     mon = monitor()
-    mon.edges = {(1, 2), (3, 1)}
+    mon.update_topology(1, frozenset({2}))
+    mon.update_topology(3, frozenset({1}))
     assert mon.build_verified_message(1).verified_peers == frozenset({2, 3})
 
 
@@ -210,7 +211,7 @@ def views_with_edge_counts(gamma: int, confirmations: int):
         v.node_discovered(1)
         v.node_discovered(2)
         if i < confirmations:
-            v.edges.add((1, 2))
+            v.update_topology(1, frozenset({2}))
         views.append(v)
     return views
 
@@ -244,7 +245,7 @@ def test_adding_a_confirming_view_never_removes_edges():
     extra = Monitor(999)
     extra.node_discovered(1)
     extra.node_discovered(2)
-    extra.edges.add((1, 2))
+    extra.update_topology(1, frozenset({2}))
     grown = compute_global_snapshot(base + [extra])
     assert compute_global_snapshot(base).edges <= grown.edges
 

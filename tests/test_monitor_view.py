@@ -1,0 +1,129 @@
+"""The per-node monitor view agrees with a flat (a, b) edge-set model under
+random sequences of discoveries, departures, rounds and row rewrites."""
+from __future__ import annotations
+
+import random
+
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
+
+from topomon.monitor import Monitor
+
+MON_ID = 100
+IDS = st.integers(0, 4)
+SENDERS = st.sampled_from([0, 1, 2, 3, 4, MON_ID])
+
+
+class FlatView:
+    """Reference model: the whole view as one set of (a, b) pairs."""
+
+    def __init__(self) -> None:
+        self.nodes: set[int] = set()
+        self.edges: set[tuple[int, int]] = set()
+
+    def row(self, t: int) -> frozenset[int]:
+        return frozenset(b for a, b in self.edges if a == t)
+
+    def departed(self, n: int) -> list[int]:
+        self.nodes.discard(n)
+        repair = sorted({a for a, b in self.edges if b == n})
+        self.edges = {(a, b) for a, b in self.edges if n not in (a, b)}
+        return repair
+
+    def update(self, t: int, collected: frozenset[int]) -> None:
+        self.edges = {(a, b) for a, b in self.edges if a != t}
+        self.edges |= {(t, p) for p in collected if p in self.nodes}
+
+    def verified(self, t: int) -> frozenset[int]:
+        return self.row(t) | {a for a, b in self.edges if b == t}
+
+
+class MonitorViewMachine(RuleBasedStateMachine):
+    def __init__(self) -> None:
+        super().__init__()
+        self.mon = Monitor(MON_ID)
+        self.model = FlatView()
+        self.rng = random.Random(0)
+        self.now = 0
+        self.markers = []  # every marker issued, so stale ones get replayed
+        self.priors: dict[int, frozenset[int]] = {}
+
+    @rule(n=IDS)
+    def discover(self, n):
+        self.mon.node_discovered(n)
+        self.model.nodes.add(n)
+
+    @rule(n=IDS)
+    def depart(self, n):
+        assert self.mon.node_departed(n) == self.model.departed(n)
+        self.priors.pop(n, None)
+
+    @rule(t=IDS)
+    def start_round(self, t):
+        if t not in self.mon.nodes or self.mon.has_open_round(t):
+            return
+        self.now += 1
+        self.markers.append(self.mon.start_round(t, self.rng, self.now))
+        self.priors[t] = self.model.row(t)
+
+    @rule(sender=SENDERS, pick=st.integers(0, 1 << 16))
+    def relay(self, sender, pick):
+        if not self.markers:
+            return
+        m = self.markers[pick % len(self.markers)]
+        rnd = self.mon.rounds.get(m.target)
+        live = rnd is not None and rnd.value == m.value
+        want = live and sender not in (m.target, MON_ID) and sender in self.model.nodes
+        assert self.mon.receive_marker(sender, m) is want
+        if want:
+            self.model.edges.add((m.target, sender))
+
+    @rule(t=IDS)
+    def close_round(self, t):
+        if not self.mon.has_open_round(t):
+            return
+        prior = self.mon.rounds[t].prior_row
+        assert prior == self.priors.pop(t)
+        collected = self.mon.close_round(t)
+        c = self.mon.update_topology(t, collected, prior)
+        self.model.update(t, collected)
+        assert c == len(prior ^ collected)
+
+    @rule(t=IDS, collected=st.frozensets(IDS))
+    def update_topology(self, t, collected):
+        if t not in self.mon.nodes:
+            return
+        prior = self.model.row(t)
+        c = self.mon.update_topology(t, collected)
+        self.model.update(t, collected)
+        assert c == len(prior ^ collected)
+
+    @invariant()
+    def out_and_inb_mirror(self):
+        mon = self.mon
+        assert {(a, b) for a, row in mon.out.items() for b in row} == {
+            (a, b) for b, col in mon.inb.items() for a in col
+        }
+
+    @invariant()
+    def edges_match_model(self):
+        assert self.mon.edges == self.model.edges
+        assert self.mon.nodes == self.model.nodes
+
+    @invariant()
+    def verified_messages_match_model(self):
+        for t in range(5):
+            got = self.mon.build_verified_message(t).verified_peers
+            assert got == self.model.verified(t)
+
+    @invariant()
+    def endpoints_are_known_nodes(self):
+        for a, b in self.mon.edges:
+            assert a in self.mon.nodes and b in self.mon.nodes
+
+
+MonitorViewMachine.TestCase.settings = settings(
+    max_examples=200, stateful_step_count=40, deadline=None
+)
+test_monitor_view_matches_flat_model = MonitorViewMachine.TestCase

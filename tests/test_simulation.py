@@ -2,10 +2,14 @@
 from __future__ import annotations
 
 import io
+import math
+import random
+import sys
 
 import pytest
 
 from topomon.adversary import SingleBehavior
+from topomon.engine import POISSON_MAX_MEAN, sample_poisson
 from topomon.simulation import ConfigInvalid, ExperimentConfig, World
 
 
@@ -32,6 +36,40 @@ def test_config_validation_collects_problems():
     assert len(problems) >= 4
     with pytest.raises(ConfigInvalid):
         World(bad)
+
+
+# Each of these would hang or compute something silently wrong, so it must be
+# refused before a World exists; none of them is ever run.
+@pytest.mark.parametrize(
+    "kw,problem",
+    [
+        ({"probe_every_ms": 0}, "probe_every_ms must be >= 1"),
+        ({"probe_every_ms": -5}, "probe_every_ms must be >= 1"),
+        ({"duration_ms": -1, "probe_every_ms": 1}, "duration_ms must be >= 0"),
+        ({"safe_rounds": -1}, "safe_rounds must be >= 0"),
+        ({"f_max": POISSON_MAX_MEAN + 1}, f"f_max must be <= {POISSON_MAX_MEAN} in poisson mode"),
+    ],
+)
+def test_config_validation_rejects_hanging_or_wrong_configs(kw, problem):
+    cfg = ExperimentConfig(**kw)
+    assert problem in cfg.validate()
+    with pytest.raises(ConfigInvalid):
+        World(cfg)
+
+
+def test_f_max_bound_holds_where_poisson_draws_are_exact():
+    assert ExperimentConfig().validate() == []
+    assert ExperimentConfig(f_max=POISSON_MAX_MEAN).validate() == []
+    # fixed mode draws nothing, so any f_max is exact there
+    assert ExperimentConfig(f_max=2 * POISSON_MAX_MEAN, scheduling_mode="fixed").validate() == []
+    # still a normal double at the bound, so the stopping test is exact
+    assert math.exp(-POISSON_MAX_MEAN) > sys.float_info.min
+    # the means scan scheduling uses draw exactly what they drew before the bound
+    rng = random.Random(7)
+    draws = [sample_poisson(rng, float(m)) for m in (1, 5, 10, 30) * 3]
+    assert draws == [0, 3, 5, 24, 1, 6, 11, 31, 1, 8, 6, 23]
+    with pytest.raises(ValueError):
+        sample_poisson(random.Random(0), POISSON_MAX_MEAN + 1)
 
 
 def test_static_honest_world_is_exact_from_first_probe():
