@@ -13,10 +13,9 @@ from topomon.protocol import NodeState
 MON = 100
 
 # Overlay under inspection: 1 -> 2, 1 -> 3, and 4 -> 1.
-nodes = {i: NodeState(i, {MON}) for i in (1, 2, 3, 4)}
-nodes[1].connect_out(2), nodes[2].connect_in(1)
-nodes[1].connect_out(3), nodes[3].connect_in(1)
-nodes[4].connect_out(1), nodes[1].connect_in(4)
+out = {1: {2, 3}, 2: set(), 3: set(), 4: {1}}
+inb = {1: {4}, 2: {1}, 3: {1}, 4: set()}
+nodes = {i: NodeState(i, {MON}, outbound=out[i], inbound=inb[i]) for i in out}
 
 mon = Monitor(MON, mode="fixed")
 for i in nodes:

@@ -43,9 +43,8 @@ print(f"\n{printed} enforcement events; mole edges now: "
       f"{sorted(e for e in world.topo.peer_edges() if mole in e)}")
 
 for v in victims:
-    state = world.nodes[v]
-    print(f"node {v}: banned={sorted(state.banned)}, "
-          f"outbound refilled to {sorted(state.outbound)}")
+    print(f"node {v}: banned={sorted(world.topo.banned[v])}, "
+          f"outbound refilled to {sorted(world.topo.out[v])}")
 
 snap = world.global_snapshot()
 print(f"\nagreed global view matches ground truth afterwards: "

@@ -25,7 +25,7 @@ for p in world.run():
     print(f"  {p.time_ms // 1000:3}s   {p.tp:3}  {p.fp:3}  {p.fn:3}     "
           f"{prec:5.1f}%   {rec:5.1f}%")
 
-colluders = set(world.policy.states)
+colluders = set(world.topo.malicious_alive())
 truth = world.topo.peer_edges()
 inferred = world.global_snapshot().edges
 fakes = inferred - truth

@@ -12,20 +12,17 @@ Each of the six isolated misbehaviors is also available on its own for
 targeted security tests: wrong-direction forwarding, forwarding to a
 non-peer, nonce replay, field tampering, probe dropping, and selective
 relay dropping.
+
+The clique keeps no roster of its own: colluders are the nodes whose
+`Topology` role is malicious, and their links are the topology's rows.
 """
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from topomon.protocol import Marker, NodeState
-
-
-@dataclass(frozen=True)
-class RelaySend:
-    sender: int  # node the message is attributed to
-    to: int
-    marker: Marker
+from topomon.protocol import Marker, NodeState, Send
+from topomon.topology import Role, Topology
 
 
 @dataclass(frozen=True)
@@ -48,39 +45,32 @@ class SingleBehavior:
 
 
 class AdversaryPolicy:
-    """Shared collusion state: the clique roster and fabrication knobs."""
+    """Shared collusion state: the ground truth the clique reads, and the
+    fabrication knobs."""
 
     def __init__(
         self,
-        monitors: set[int],
+        topo: Topology,
         rng: random.Random,
         *,
         full_hiding: bool = True,
         share_hops: int = 2,
         second_hop_p: float = 1.0,
     ) -> None:
-        self.monitors = frozenset(monitors)
+        self.topo = topo
         self.rng = rng
         self.full_hiding = full_hiding
         self.share_hops = share_hops
         self.second_hop_p = second_hop_p
-        self.states: dict[int, NodeState] = {}  # colluder id -> its live state
 
-    @property
-    def colluders(self) -> set[int]:
-        return set(self.states)
-
-    def register(self, state: NodeState) -> None:
-        self.states[state.id] = state
-
-    def unregister(self, node_id: int) -> None:
-        self.states.pop(node_id, None)
+    def is_colluder(self, node_id: int) -> bool:
+        return self.topo.roles.get(node_id) is Role.MALICIOUS
 
     def connected_colluders(self, node_id: int) -> list[int]:
-        st = self.states.get(node_id)
-        if st is None:
+        t, roles, mal = self.topo, self.topo.roles, Role.MALICIOUS
+        if roles.get(node_id) is not mal:
             return []
-        return sorted((st.outbound | st.inbound) & self.colluders - {node_id})
+        return sorted([p for p in t.out[node_id] | t.inb[node_id] if roles[p] is mal])
 
 
 class Adversary:
@@ -96,17 +86,19 @@ class Adversary:
         self.policy = policy
         self.single = single
         self.stored: dict[int, Marker] = {}  # behavior 3: last nonce per target
-        policy.register(state)
 
     # -- dispatch -------------------------------------------------------------
 
-    def handle_marker(self, sender: int, m: Marker) -> list[RelaySend]:
+    def handle_marker(self, sender: int, m: Marker) -> list[Send]:
         if self.single is not None:
             return self._single(sender, m)
         return self._worst_case(sender, m)
 
     def handle_verified(self, sender: int, v) -> list:
         return []  # no reputation enforcement on the adversary's side
+
+    def forget(self, peer: int) -> None:
+        self.state.forget(peer)
 
     # -- helpers ----------------------------------------------------------------
 
@@ -124,36 +116,28 @@ class Adversary:
             and m.monitor in self.state.monitors
         )
 
-    def _honest(self, sender: int, m: Marker) -> list[RelaySend]:
+    def _fakes_for(self, ring: list[int], m: Marker) -> list[Send]:
+        inb = self.policy.topo.inb
         return [
-            RelaySend(self.state.id, s.to, s.marker)
-            for s in self.state.handle_marker(sender, m)
+            Send(c, m.monitor, m) for c in ring if m.target not in inb[c] and c != m.target
         ]
-
-    def _fakes_for(self, ring: list[int], m: Marker) -> list[RelaySend]:
-        acts = []
-        for c in ring:
-            cst = self.policy.states[c]
-            if m.target not in cst.inbound and c != m.target:
-                acts.append(RelaySend(c, m.monitor, m))
-        return acts
 
     # -- full collusion -----------------------------------------------------------
 
-    def _worst_case(self, sender: int, m: Marker) -> list[RelaySend]:
+    def _worst_case(self, sender: int, m: Marker) -> list[Send]:
         pol, st = self.policy, self.state
         if self._own_probe(sender, m):
             acts = []
             if not pol.full_hiding:
                 acts = [
-                    RelaySend(st.id, p, m)
+                    Send(st.id, p, m)
                     for p in sorted(st.outbound)
-                    if p not in pol.colluders
+                    if not pol.is_colluder(p)
                 ]
             # adjacent colluders answer for links that do not exist
             return acts + self._fakes_for(pol.connected_colluders(st.id), m)
         if sender == m.target and sender in st.inbound:
-            if sender in pol.colluders:
+            if pol.is_colluder(sender):
                 return []  # clique-internal link stays hidden
             # hide the honest link, leak the nonce through the clique
             ring = set(pol.connected_colluders(st.id))
@@ -170,43 +154,31 @@ class Adversary:
 
     # -- isolated misbehaviors -------------------------------------------------------
 
-    def _single(self, sender: int, m: Marker) -> list[RelaySend]:
+    def _single(self, sender: int, m: Marker) -> list[Send]:
+        """The chosen misbehavior where it applies; honest relaying elsewhere."""
         st, b = self.state, self.single
         assert b is not None
-        if b.behavior == 1:
-            if self._own_probe(sender, m):
-                return [RelaySend(st.id, p, m) for p in sorted(st.inbound)]
-            return self._honest(sender, m)
-        if b.behavior == 2:
-            if self._own_probe(sender, m):
-                acts = [RelaySend(st.id, p, m) for p in sorted(st.outbound)]
-                if b.victim is not None:
-                    hop = b.relay_via if b.relay_via is not None else st.id
-                    acts.append(RelaySend(hop, b.victim, m))
-                return acts
-            return self._honest(sender, m)
-        if b.behavior == 3:
-            if self._relay_duty(sender, m):
-                prev = self.stored.get(m.target)
-                self.stored[m.target] = m
-                if prev is not None:
-                    return [RelaySend(st.id, prev.monitor, prev)]
-                return []
-            return self._honest(sender, m)
-        if b.behavior == 4:
-            if self._own_probe(sender, m):
-                bad = self._tampered(m)
-                return [RelaySend(st.id, p, bad) for p in sorted(st.outbound)]
-            return self._honest(sender, m)
-        if b.behavior == 5:
-            if self._own_probe(sender, m):
-                return []
-            return self._honest(sender, m)
-        if b.behavior == 6:
-            if self._relay_duty(sender, m) and m.monitor in b.drop_for:
-                return []
-            return self._honest(sender, m)
-        raise ValueError(f"unknown behavior {b.behavior}")
+        if b.behavior not in range(1, 7):
+            raise ValueError(f"unknown behavior {b.behavior}")
+        own, duty = self._own_probe(sender, m), self._relay_duty(sender, m)
+        if b.behavior == 1 and own:
+            return [Send(st.id, p, m) for p in sorted(st.inbound)]
+        if b.behavior == 2 and own:
+            acts = [Send(st.id, p, m) for p in sorted(st.outbound)]
+            if b.victim is not None:
+                hop = b.relay_via if b.relay_via is not None else st.id
+                acts.append(Send(hop, b.victim, m))
+            return acts
+        if b.behavior == 3 and duty:
+            prev = self.stored.get(m.target)
+            self.stored[m.target] = m
+            return [Send(st.id, prev.monitor, prev)] if prev is not None else []
+        if b.behavior == 4 and own:
+            bad = self._tampered(m)
+            return [Send(st.id, p, bad) for p in sorted(st.outbound)]
+        if (b.behavior == 5 and own) or (b.behavior == 6 and duty and m.monitor in b.drop_for):
+            return []
+        return st.handle_marker(sender, m)
 
     def _tampered(self, m: Marker) -> Marker:
         which = self.policy.rng.choice(("target", "monitor", "value"))

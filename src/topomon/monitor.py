@@ -193,12 +193,6 @@ class GlobalSnapshot:
     monitor_count: int
 
 
-def verification_set(
-    views: list[Monitor], edge: tuple[int, int]
-) -> set[int]:
-    return {i for i, v in enumerate(views) if edge in v.edges}
-
-
 def compute_global_snapshot(views: list[Monitor]) -> GlobalSnapshot:
     """Keep the edges a strict majority of the views agrees on."""
     if not views:

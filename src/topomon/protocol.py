@@ -8,9 +8,15 @@ monitor. Everything else is dropped silently.
 Reputation is a per-peer tally of monitor confirmations. A peer is cut
 loose once at most half the monitors still vouch for it, but never before
 every monitor has reported safe_rounds times for that peer.
+
+A node's `outbound`, `inbound` and `banned` sets are its rows of the
+ground-truth `Topology`, shared by reference; the node owns only its
+reputation tables. Honest and malicious nodes answer through the same two
+calls: `handle_marker` returns `Send`s, `handle_verified` `Disconnect`s.
 """
 from __future__ import annotations
 
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 
 
@@ -28,6 +34,7 @@ class VerifiedMsg:
 
 @dataclass(frozen=True)
 class Send:
+    sender: int  # node the message is attributed to
     to: int
     marker: Marker
 
@@ -44,41 +51,32 @@ class UnknownPeer(Exception):
 class NodeState:
     """Protocol-visible state of one honest node."""
 
-    def __init__(self, node_id: int, monitors: set[int], safe_rounds: int = 3) -> None:
+    def __init__(
+        self,
+        node_id: int,
+        monitors: set[int],
+        safe_rounds: int = 3,
+        *,
+        outbound: AbstractSet[int] = frozenset(),
+        inbound: AbstractSet[int] = frozenset(),
+        banned: AbstractSet[int] = frozenset(),
+    ) -> None:
         self.id = node_id
         self.monitors = frozenset(monitors)
         self.safe_rounds = safe_rounds
-        self.outbound: set[int] = set()
-        self.inbound: set[int] = set()
-        self.banned: set[int] = set()
-        # per (peer, monitor): latest confirmation bit and reports received
+        # the node's Topology rows, held by reference and only ever read here
+        self.outbound, self.inbound, self.banned = outbound, inbound, banned
+        # per (peer, monitor): latest confirmation bit and reports received;
+        # a missing entry reads as a fresh peer: vouched for, 0 reports
         self.status: dict[tuple[int, int], int] = {}
         self.rounds_seen: dict[tuple[int, int], int] = {}
-
-    # -- membership ----------------------------------------------------------
 
     def peers(self) -> set[int]:
         return self.outbound | self.inbound
 
-    def connect_out(self, peer: int) -> None:
-        self.outbound.add(peer)
-        self._reset_tables(peer)
-
-    def connect_in(self, peer: int) -> None:
-        self.inbound.add(peer)
-        self._reset_tables(peer)
-
-    def _reset_tables(self, peer: int) -> None:
-        # fresh peers start fully vouched-for, inside the safe period
-        for m in self.monitors:
-            self.status[(peer, m)] = 1
-            self.rounds_seen[(peer, m)] = 0
-
-    def drop_peer(self, peer: int, *, ban: bool = False) -> None:
-        self.outbound.discard(peer)
-        self.inbound.discard(peer)
-        if ban:
-            self.banned.add(peer)
+    def forget(self, peer: int) -> None:
+        """Drop the peer's tallies once its edge closes; a later edge to
+        it starts fresh."""
         for m in self.monitors:
             self.status.pop((peer, m), None)
             self.rounds_seen.pop((peer, m), None)
@@ -87,9 +85,9 @@ class NodeState:
 
     def handle_marker(self, sender: int, m: Marker) -> list[Send]:
         if sender == m.monitor and m.monitor in self.monitors:
-            return [Send(p, m) for p in sorted(self.outbound)]
+            return [Send(self.id, p, m) for p in sorted(self.outbound)]
         if sender == m.target and sender in self.inbound and m.monitor in self.monitors:
-            return [Send(m.monitor, m)]
+            return [Send(self.id, m.monitor, m)]
         return []
 
     # -- reputation ----------------------------------------------------------

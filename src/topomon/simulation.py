@@ -16,6 +16,10 @@ Reputation disconnects close the ground-truth edge in the same event and
 ban both endpoints for the rest of the run. Honest nodes refill the lost
 outbound slot right away; malicious nodes do not (flag-controlled), which
 slowly strands them on clique-internal links only.
+
+The `Topology` alone stores links and bans; each node reads its own rows.
+`World.nodes` maps every live node to its handler, a `NodeState` or an
+`Adversary` wrapping one.
 """
 from __future__ import annotations
 
@@ -96,8 +100,11 @@ class ExperimentConfig:
         lo, hi = self.latency_ms_range
         if not 0 <= lo <= hi:
             bad.append("latency_ms_range must satisfy 0 <= lo <= hi")
-        if self.monitor_f_init is not None and len(self.monitor_f_init) != self.monitors:
-            bad.append("monitor_f_init must list one frequency per monitor")
+        if self.monitor_f_init is not None:
+            if len(self.monitor_f_init) != self.monitors:
+                bad.append("monitor_f_init must list one frequency per monitor")
+            if not all(self.f_min <= f <= self.f_max for f in self.monitor_f_init):
+                bad.append("monitor_f_init entries must lie in [f_min, f_max]")
         if not 1 <= self.share_hops <= 2:
             bad.append("share_hops must be 1 or 2")
         if not 0.0 <= self.second_hop_p <= 1.0:
@@ -127,11 +134,10 @@ class World:
             target_population=cfg.nodes,
             malicious_fraction=cfg.malicious_pct,
         )
-        self.nodes: dict[int, NodeState] = {}
-        self.advs: dict[int, Adversary] = {}
+        self.nodes: dict[int, NodeState | Adversary] = {}
         self.monitors: dict[int, Monitor] = {}
         self.policy = AdversaryPolicy(
-            set(),  # monitor ids filled in below
+            self.topo,
             substream(cfg.seed, "adversary"),
             full_hiding=cfg.full_hiding,
             share_hops=cfg.share_hops,
@@ -164,7 +170,6 @@ class World:
                 timeout_ms=cfg.round_timeout_ms,
                 mode=cfg.scheduling_mode,
             )
-        self.policy.monitors = frozenset(self.monitors)
         for _ in range(cfg.nodes):
             role = self.topo.steer_add_role(self.churn_cfg)
             ev = self.topo.add_node(role, self.engine.rng_topology, allow_short=True)
@@ -184,31 +189,28 @@ class World:
     # -- membership plumbing ------------------------------------------------------
 
     def _node_joined(self, ev: NodeAdded) -> None:
-        state = NodeState(ev.node, set(self.monitors), self.cfg.safe_rounds)
-        for t in ev.targets:
-            state.connect_out(t)
-            self.nodes[t].connect_in(ev.node)
-        self.nodes[ev.node] = state
-        if ev.role is Role.MALICIOUS:
-            self.advs[ev.node] = Adversary(state, self.policy)
-        self.engine.trace("join", ev.node, "-", ev.role.value)
+        nid, topo = ev.node, self.topo
+        state = NodeState(
+            nid,
+            set(self.monitors),
+            self.cfg.safe_rounds,
+            outbound=topo.out[nid],
+            inbound=topo.inb[nid],
+            banned=topo.banned[nid],
+        )
+        self.nodes[nid] = state if ev.role is Role.HONEST else Adversary(state, self.policy)
+        self.engine.trace("join", nid, "-", ev.role.value)
         for mid in sorted(self.monitors):
-            self.monitors[mid].node_discovered(ev.node)
-            self._schedule_round(mid, ev.node, 0)
+            self.monitors[mid].node_discovered(nid)
+            self._schedule_round(mid, nid, 0)
 
     def _node_left(self, ev: NodeRemoved) -> None:
         nid = ev.node
         for t in ev.severed_out:
-            self.nodes[t].drop_peer(nid)
-        for p, new_target in ev.rewired:
-            self.nodes[p].drop_peer(nid)
-            if new_target is not None:
-                self.nodes[p].connect_out(new_target)
-                self.nodes[new_target].connect_in(p)
-        self.nodes.pop(nid, None)
-        if nid in self.advs:
-            self.policy.unregister(nid)
-            del self.advs[nid]
+            self.nodes[t].forget(nid)
+        for p, _ in ev.rewired:
+            self.nodes[p].forget(nid)
+        del self.nodes[nid]
         self.engine.trace("leave", nid, "-", ev.role.value)
         for mid in sorted(self.monitors):
             repair = self.monitors[mid].node_departed(nid)
@@ -224,20 +226,18 @@ class World:
             raise ValueError(f"node {nid} is not honest")
         self.topo.roles[nid] = Role.MALICIOUS
         adv = Adversary(self.nodes[nid], self.policy, single)
-        self.advs[nid] = adv
+        self.nodes[nid] = adv
         return adv
 
     def open_edge(self, a: int, b: int) -> None:
         """Ground-truth mutation without any notification; scans must find it."""
         self.topo.open_connection(a, b)
-        self.nodes[a].connect_out(b)
-        self.nodes[b].connect_in(a)
         self.engine.trace("edge_open", a, b)
 
     def close_edge(self, a: int, b: int) -> None:
         self.topo.close_connection(a, b)
-        self.nodes[a].drop_peer(b)
-        self.nodes[b].drop_peer(a)
+        self.nodes[a].forget(b)
+        self.nodes[b].forget(a)
         self.engine.trace("edge_close", a, b)
 
     # -- scan scheduling ---------------------------------------------------------
@@ -296,9 +296,6 @@ class World:
         self.ledger.count(kind, frm, to)
         self.engine.schedule(latency, "deliver", kind, frm, to, payload)
 
-    def _marker_kind(self, to: int) -> str:
-        return "marker_to_monitor" if to in self.monitors else "marker_forwarded"
-
     def _on_deliver(self, kind: str, frm: int, to: int, payload) -> None:
         if to in self.monitors:
             accepted = self.monitors[to].receive_marker(frm, payload)
@@ -311,27 +308,22 @@ class World:
         if kind == "verified":
             peers = ",".join(str(p) for p in sorted(payload.verified_peers))
             self.engine.trace(kind, frm, to, peers)
-            if to in self.advs:
-                self.advs[to].handle_verified(frm, payload)
-                return
             for act in self.nodes[to].handle_verified(frm, payload):
                 self._apply_disconnect(to, act.peer)
             return
         self.engine.trace(kind, frm, to, f"{payload.target}:{payload.value}")
-        if to in self.advs:
-            for r in self.advs[to].handle_marker(frm, payload):
-                self._send(self._marker_kind(r.to), r.sender, r.to, r.marker)
-            return
         for s in self.nodes[to].handle_marker(frm, payload):
-            self._send(self._marker_kind(s.to), to, s.to, s.marker)
+            hop = "marker_to_monitor" if s.to in self.monitors else "marker_forwarded"
+            self._send(hop, s.sender, s.to, s.marker)
 
     # -- enforcement -----------------------------------------------------------------
 
     def _apply_disconnect(self, owner: int, peer: int) -> None:
-        self.nodes[owner].drop_peer(peer, ban=True)
+        self.nodes[owner].forget(peer)
         if peer not in self.nodes:
-            return  # already departed; nothing left to sever
-        self.nodes[peer].drop_peer(owner, ban=True)
+            self.topo.banned[owner].add(peer)  # already departed; nothing to sever
+            return
+        self.nodes[peer].forget(owner)
         if peer in self.topo.out.get(owner, ()):
             edge = (owner, peer)
         elif owner in self.topo.out.get(peer, ()):
@@ -345,7 +337,7 @@ class World:
         self._refill(edge[0])
 
     def _refill(self, nid: int) -> None:
-        if nid in self.advs and not self.cfg.malicious_refill:
+        if self.topo.roles[nid] is Role.MALICIOUS and not self.cfg.malicious_refill:
             return
         while len(self.topo.out[nid]) < self.cfg.outbound_per_node:
             choices = self.topo.eligible_targets(nid)
@@ -353,8 +345,6 @@ class World:
                 return
             t = self.engine.rng_topology.choice(choices)
             self.topo.open_connection(nid, t)
-            self.nodes[nid].connect_out(t)
-            self.nodes[t].connect_in(nid)
             self.engine.trace("refill", nid, t)
 
     # -- background processes -----------------------------------------------------------

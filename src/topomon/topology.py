@@ -71,6 +71,7 @@ class Topology:
     def __init__(self, target_outbound: int = 3) -> None:
         self.target_outbound = target_outbound
         self.roles: dict[int, Role] = {}
+        # a live node's rows are shared with its NodeState: mutate, never rebind
         self.out: dict[int, set[int]] = {}
         self.inb: dict[int, set[int]] = {}
         self.banned: dict[int, set[int]] = {}

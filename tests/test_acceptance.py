@@ -343,8 +343,7 @@ def test_criterion_9_majority_rule_exhaustive():
     bad = 0
     for gamma in range(1, 8):
         for bits in range(2**gamma):
-            state = NodeState(1, set(range(gamma)), safe_rounds=3)
-            state.connect_in(7)
+            state = NodeState(1, set(range(gamma)), safe_rounds=3, inbound={7})
             for mon in range(gamma):
                 keep = bool(bits >> mon & 1)
                 confirmed = frozenset({7} if keep else ())

@@ -3,26 +3,42 @@ from __future__ import annotations
 
 import random
 
-from topomon.adversary import Adversary, AdversaryPolicy, RelaySend, SingleBehavior
-from topomon.protocol import Marker, NodeState
+from topomon.adversary import Adversary, AdversaryPolicy, SingleBehavior
+from topomon.protocol import Marker, NodeState, Send
+from topomon.topology import Role, Topology
 
 MONITORS = {100, 101, 102, 103}
 
 
 def make_policy(**kw) -> AdversaryPolicy:
-    return AdversaryPolicy(MONITORS, random.Random(5), **kw)
+    return AdversaryPolicy(Topology(), random.Random(5), **kw)
 
 
-def wire(state: NodeState, out=(), inb=()) -> NodeState:
-    for p in out:
-        state.connect_out(p)
-    for p in inb:
-        state.connect_in(p)
-    return state
+def join(topo: Topology, nid: int) -> None:
+    """Give nid its topology rows; a node seen for the first time is honest."""
+    topo.roles.setdefault(nid, Role.HONEST)
+    for rows in (topo.out, topo.inb, topo.banned):
+        rows.setdefault(nid, set())
+
+
+def wire(topo: Topology, nid: int, out=(), inb=()) -> None:
+    """Add the edges nid->out and inb->nid. Repeating an edge already added
+    from its other end is a no-op."""
+    for a, b in [(nid, p) for p in out] + [(p, nid) for p in inb]:
+        join(topo, a)
+        join(topo, b)
+        topo.out[a].add(b)
+        topo.inb[b].add(a)
 
 
 def colluder(policy, nid, out=(), inb=(), single=None) -> Adversary:
-    st = wire(NodeState(nid, MONITORS), out, inb)
+    topo = policy.topo
+    join(topo, nid)
+    topo.roles[nid] = Role.MALICIOUS
+    wire(topo, nid, out, inb)
+    st = NodeState(
+        nid, MONITORS, outbound=topo.out[nid], inbound=topo.inb[nid], banned=topo.banned[nid]
+    )
     return Adversary(st, policy, single)
 
 
@@ -42,7 +58,7 @@ def test_own_probe_spreads_only_to_adjacent_colluders_when_hiding():
     acts = d.handle_marker(100, probe)
     # 2 must stay silent (the link 1->2 is real and hidden); 3 answers,
     # faking 1->3; the honest outbound peer 7 never sees the marker.
-    assert acts == [RelaySend(3, 100, probe)]
+    assert acts == [Send(3, 100, probe)]
 
 
 def test_soft_variant_still_forwards_to_honest_outbound():
@@ -51,7 +67,7 @@ def test_soft_variant_still_forwards_to_honest_outbound():
     colluder(pol, 2, inb=(1,))
     probe = Marker(target=1, monitor=100, value=9)
     acts = d.handle_marker(100, probe)
-    assert RelaySend(1, 7, probe) in acts
+    assert Send(1, 7, probe) in acts
     assert all(a.to != 2 for a in acts)  # colluders coordinate out of band
 
 
@@ -98,11 +114,14 @@ def test_worst_case_ignores_confirmation_lists():
     assert d.handle_verified(100, object()) == []
 
 
-def test_unregister_removes_from_clique():
+def test_departed_colluder_leaves_the_clique():
     pol = make_policy()
-    colluder(pol, 1)
-    pol.unregister(1)
-    assert pol.colluders == set()
+    colluder(pol, 1, inb=(2,))
+    colluder(pol, 2)
+    assert pol.connected_colluders(2) == [1]
+    pol.topo.remove_node(1, random.Random(0))
+    assert not pol.is_colluder(1)
+    assert pol.connected_colluders(2) == []
 
 
 # -- isolated misbehaviors -------------------------------------------------------
@@ -113,7 +132,7 @@ def test_behavior_1_forwards_to_inbound_instead():
     d = colluder(pol, 1, out=(5,), inb=(6, 7), single=SingleBehavior(1))
     probe = Marker(1, 100, 42)
     acts = d.handle_marker(100, probe)
-    assert acts == [RelaySend(1, 6, probe), RelaySend(1, 7, probe)]
+    assert acts == [Send(1, 6, probe), Send(1, 7, probe)]
 
 
 def test_behavior_2_leaks_to_victim_besides_honest_forwarding():
@@ -121,8 +140,8 @@ def test_behavior_2_leaks_to_victim_besides_honest_forwarding():
     d = colluder(pol, 1, out=(5,), single=SingleBehavior(2, victim=33))
     probe = Marker(1, 100, 42)
     acts = d.handle_marker(100, probe)
-    assert RelaySend(1, 5, probe) in acts
-    assert RelaySend(1, 33, probe) in acts
+    assert Send(1, 5, probe) in acts
+    assert Send(1, 33, probe) in acts
 
 
 def test_behavior_2_can_route_through_another_colluder():
@@ -139,7 +158,7 @@ def test_behavior_3_replays_previous_nonce_instead_of_relaying():
     second = Marker(1, 100, 20)
     assert d.handle_marker(1, first) == []  # withheld, stored
     acts = d.handle_marker(1, second)
-    assert acts == [RelaySend(2, 100, first)]  # stale nonce goes out
+    assert acts == [Send(2, 100, first)]  # stale nonce goes out
 
 
 def test_behavior_4_tampers_exactly_one_field():
@@ -158,7 +177,7 @@ def test_behavior_5_drops_own_probes_but_relays_for_others():
     d = colluder(pol, 2, out=(5,), inb=(1,), single=SingleBehavior(5))
     assert d.handle_marker(100, Marker(2, 100, 42)) == []
     m = Marker(1, 100, 43)
-    assert d.handle_marker(1, m) == [RelaySend(2, 100, m)]
+    assert d.handle_marker(1, m) == [Send(2, 100, m)]
 
 
 def test_behavior_6_drops_relays_only_for_listed_monitors():
@@ -169,7 +188,7 @@ def test_behavior_6_drops_relays_only_for_listed_monitors():
     assert d.handle_marker(1, Marker(1, 100, 1)) == []
     assert d.handle_marker(1, Marker(1, 101, 2)) == []
     m = Marker(1, 102, 3)
-    assert d.handle_marker(1, m) == [RelaySend(2, 102, m)]
+    assert d.handle_marker(1, m) == [Send(2, 102, m)]
 
 
 def test_single_modes_default_to_honest_elsewhere():
@@ -177,6 +196,6 @@ def test_single_modes_default_to_honest_elsewhere():
     d = colluder(pol, 2, out=(5,), inb=(1,), single=SingleBehavior(1))
     m = Marker(1, 100, 7)
     # relay duty untouched by behavior 1
-    assert d.handle_marker(1, m) == [RelaySend(2, 100, m)]
+    assert d.handle_marker(1, m) == [Send(2, 100, m)]
     # and strangers are still dropped
     assert d.handle_marker(9, Marker(9, 100, 7)) == []

@@ -14,7 +14,6 @@ from topomon.monitor import (
     RoundAlreadyOpen,
     compute_global_snapshot,
     max_error_window,
-    verification_set,
 )
 from topomon.protocol import Marker
 
@@ -248,12 +247,6 @@ def test_adding_a_confirming_view_never_removes_edges():
     extra.update_topology(1, frozenset({2}))
     grown = compute_global_snapshot(base + [extra])
     assert compute_global_snapshot(base).edges <= grown.edges
-
-
-def test_verification_set_filters_views():
-    views = views_with_edge_counts(4, 2)
-    assert verification_set(views, (1, 2)) == {0, 1}
-    assert verification_set(views, (9, 9)) == set()
 
 
 def test_empty_aggregation_rejected():

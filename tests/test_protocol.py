@@ -6,17 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from topomon.protocol import Disconnect, Marker, NodeState, Send, UnknownPeer, VerifiedMsg
+from topomon.topology import Role, Topology
 
 MONITORS = {100, 101, 102, 103}
 
 
 def node(nid=1, monitors=MONITORS, out=(), inb=(), safe_rounds=3) -> NodeState:
-    st_ = NodeState(nid, set(monitors), safe_rounds)
-    for p in out:
-        st_.connect_out(p)
-    for p in inb:
-        st_.connect_in(p)
-    return st_
+    return NodeState(nid, set(monitors), safe_rounds, outbound=set(out), inbound=set(inb))
 
 
 # -- handle_marker -----------------------------------------------------------
@@ -26,13 +22,13 @@ def test_target_fans_marker_out_to_all_outbound():
     n = node(nid=1, out=(5, 3, 4))
     m = Marker(target=1, monitor=100, value=7)
     acts = n.handle_marker(100, m)
-    assert acts == [Send(3, m), Send(4, m), Send(5, m)]
+    assert acts == [Send(1, 3, m), Send(1, 4, m), Send(1, 5, m)]
 
 
 def test_peer_bounces_marker_from_inbound_target_to_monitor():
     p = node(nid=2, inb=(1,))
     m = Marker(target=1, monitor=100, value=7)
-    assert p.handle_marker(1, m) == [Send(100, m)]
+    assert p.handle_marker(1, m) == [Send(2, 100, m)]
 
 
 def test_marker_from_outbound_peer_is_dropped():
@@ -132,7 +128,7 @@ def test_handle_verified_updates_statuses_and_counts():
     assert n.status[(8, 100)] == 0
     assert n.status[(9, 100)] == 1
     assert n.rounds_seen[(8, 100)] == 1
-    assert n.rounds_seen[(8, 101)] == 0
+    assert n.rounds_seen.get((8, 101), 0) == 0  # 101 has not reported
 
 
 def test_handle_verified_disconnects_after_majority_loss():
@@ -150,21 +146,34 @@ def test_handle_verified_disconnects_after_majority_loss():
 def test_verified_from_unknown_sender_is_ignored():
     n = node(nid=1, out=(7,))
     assert n.handle_verified(999, VerifiedMsg(frozenset())) == []
-    assert n.rounds_seen[(7, 100)] == 0
+    assert n.rounds_seen.get((7, 100), 0) == 0
 
 
 def test_fresh_connection_resets_safe_period():
     n = node(nid=1, out=(7,))
     age_past_safe_period(n, 7)
-    n.drop_peer(7)
-    n.connect_out(7)
-    assert n.rounds_seen[(7, 100)] == 0
+    n.outbound.discard(7)  # the edge closes ...
+    n.forget(7)
+    n.outbound.add(7)  # ... and a new one opens
+    assert n.rounds_seen.get((7, 100), 0) == 0
     assert n.reputation(7) == 4
 
 
-def test_drop_peer_with_ban_purges_and_bans():
-    n = node(nid=1, out=(7,), inb=(8,))
-    n.drop_peer(7, ban=True)
+def test_topology_ban_shows_through_and_forget_purges():
+    topo = Topology()
+    for nid in (1, 7, 8):
+        topo.roles[nid] = Role.HONEST
+        topo.out[nid], topo.inb[nid], topo.banned[nid] = set(), set(), set()
+    topo.open_connection(1, 7)
+    topo.open_connection(8, 1)
+    n = NodeState(
+        1, MONITORS, outbound=topo.out[1], inbound=topo.inb[1], banned=topo.banned[1]
+    )
+    n.handle_verified(100, VerifiedMsg(frozenset({7, 8})))
+    assert (7, 100) in n.status
+    topo.close_connection(1, 7)
+    topo.ban(1, 7)
+    n.forget(7)
     assert 7 in n.banned
     assert 7 not in n.peers()
     assert all(p != 7 for p, _ in n.status)

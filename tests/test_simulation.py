@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from topomon.adversary import SingleBehavior
+from topomon.adversary import Adversary, SingleBehavior
 from topomon.engine import POISSON_MAX_MEAN, sample_poisson
 from topomon.simulation import ConfigInvalid, ExperimentConfig, World
 
@@ -55,6 +55,17 @@ def test_config_validation_rejects_hanging_or_wrong_configs(kw, problem):
     assert problem in cfg.validate()
     with pytest.raises(ConfigInvalid):
         World(cfg)
+
+
+def test_out_of_range_monitor_f_init_is_refused_up_front():
+    # Monitor() would raise a bare ValueError, which a sweep records as a
+    # failed run instead of refusing the config
+    for f_init in ((20, 5, 5, 5), (5, 5, 5, 0)):
+        cfg = ExperimentConfig(monitor_f_init=f_init)
+        assert "monitor_f_init entries must lie in [f_min, f_max]" in cfg.validate()
+        with pytest.raises(ConfigInvalid):
+            World(cfg)
+    assert ExperimentConfig(monitor_f_init=(1, 5, 5, 10)).validate() == []
 
 
 def test_f_max_bound_holds_where_poisson_draws_are_exact():
@@ -126,17 +137,16 @@ def test_silent_relay_peer_gets_disconnected_banned_and_replaced():
     w = World(cfg)
     mole = max(w.nodes, key=lambda n: (len(w.topo.inb[n]), -n))
     w.convert_to_malicious(mole, SingleBehavior(6, drop_for=frozenset({0, 1})))
-    had_mole_out = [n for n, st in w.nodes.items() if mole in st.outbound]
+    had_mole_out = [n for n, row in w.topo.out.items() if mole in row]
     assert had_mole_out, "fixture needs at least one inbound edge at the mole"
     w.run()
     for n in had_mole_out:
-        st = w.nodes.get(n)
-        if st is None:
+        if n not in w.topo.out:
             continue
-        assert mole not in st.outbound
-        assert mole in st.banned
+        assert mole not in w.topo.out[n]
+        assert mole in w.topo.banned[n]
         # lost slot got refilled
-        assert len(st.outbound) == cfg.outbound_per_node
+        assert len(w.topo.out[n]) == cfg.outbound_per_node
     assert not any(mole in (a, b) for a, b in w.topo.peer_edges())
     assert w.topo.audit() == []
 
@@ -156,11 +166,13 @@ def test_node_states_mirror_topology_under_churn():
     assert w.topo.audit() == []
     alive = set(w.topo.peers_alive())
     assert set(w.nodes) == alive
-    for n, st in w.nodes.items():
-        assert st.outbound == set(w.topo.out[n])
-        assert st.inbound == set(w.topo.inb[n])
-    assert set(w.policy.states) == set(w.topo.malicious_alive())
-    assert set(w.advs) == set(w.policy.states)
+    for n, handler in w.nodes.items():
+        st = handler.state if isinstance(handler, Adversary) else handler
+        assert st.outbound is w.topo.out[n]
+        assert st.inbound is w.topo.inb[n]
+        assert st.banned is w.topo.banned[n]
+    adversaries = {n for n, h in w.nodes.items() if isinstance(h, Adversary)}
+    assert adversaries == set(w.topo.malicious_alive())
 
 
 def test_manual_edge_close_disappears_from_monitor_views():
