@@ -122,6 +122,11 @@ class Engine:
         self.events_processed += processed
         return processed
 
+    @property
+    def tracing(self) -> bool:
+        """True when `trace` writes; callers can skip building its detail."""
+        return self._trace is not None
+
     def trace(self, kind: str, frm: Any = "-", to: Any = "-", detail: str = "") -> None:
         if self._trace is not None:
             self._trace.write(f"{self.now}\t{kind}\t{frm}\t{to}\t{detail}\n")

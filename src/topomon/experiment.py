@@ -13,6 +13,8 @@ invocations produce byte-identical output.
 """
 from __future__ import annotations
 
+import itertools
+import os
 from dataclasses import dataclass, field, replace
 from typing import IO, Callable, Iterable, Sequence
 
@@ -122,6 +124,13 @@ class SweepReport:
         return not self.failures
 
 
+def _run_one(cfg: ExperimentConfig) -> RunReport:
+    # The pool's entry point. It is module-level so that it pickles by name,
+    # and it looks `run_experiment` up at call time, so a wrapper set on the
+    # module before the pool forks (bench/tracer.py sets one) still runs.
+    return run_experiment(cfg)
+
+
 def run_sweep(
     variabilities: Sequence[float],
     percentages: Sequence[float],
@@ -137,41 +146,59 @@ def run_sweep(
     Seeds are `base.seed + run_index` within each cell so any single run can
     be reproduced from the sweep invocation alone.  A run that raises is
     recorded under `failures` and the sweep moves on.
+
+    The runs are independent, so they are all submitted at once to a process
+    pool with one worker per available core; results are read back in grid
+    order, so every report field, file byte and `progress` message is the
+    same as one core would give. The pool lives only inside this call: when
+    it returns or raises, no worker process is left.
     """
+    # imported here: the pool machinery costs ~2 MB that only sweeps need
+    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+
     if repeats < 1 or not variabilities or not percentages:
         raise EmptySweep(
             f"{len(variabilities)} variabilities x {len(percentages)} "
             f"percentages x {repeats} repeats"
         )
     base = base or ExperimentConfig()
+    cells = [(var, pct) for var in variabilities for pct in percentages]
+    configs = [
+        replace(base, variability_s=var, malicious_pct=pct / 100.0, seed=base.seed + i)
+        for var, pct in cells
+        for i in range(repeats)
+    ]
     report = SweepReport()
     if raw is not None:
         raw.write(CSV_HEADER + "\n")
-    for var in variabilities:
-        for pct in percentages:
-            cell = ConfusionCounts(0, 0, 0)
-            done = 0
-            for i in range(repeats):
-                cfg = replace(
-                    base,
-                    variability_s=var,
-                    malicious_pct=pct / 100.0,
-                    seed=base.seed + i,
-                )
-                if progress is not None:
-                    progress(f"var={_num(var)} mal={_num(pct)}% seed={cfg.seed}")
-                try:
-                    run = run_experiment(cfg)
-                except Exception as exc:  # keep sweeping, report at the end
-                    report.failures.append((cfg, exc))
-                    continue
-                report.runs.append(run)
-                done += 1
-                cell = cell + run.totals
-                if raw is not None:
-                    last = run.samples[-1].time_ms if run.samples else 0
-                    raw.write(_row(cfg, last, run.totals) + "\n")
-            report.cells.append(CellSummary(var, pct, cell, done))
+    with ProcessPoolExecutor(min(len(os.sched_getaffinity(0)), len(configs))) as pool:
+        try:
+            pending = zip(configs, [pool.submit(_run_one, cfg) for cfg in configs])
+            for var, pct in cells:
+                cell = ConfusionCounts(0, 0, 0)
+                done = 0
+                for cfg, future in itertools.islice(pending, repeats):
+                    if progress is not None:
+                        progress(f"var={_num(var)} mal={_num(pct)}% seed={cfg.seed}")
+                    try:
+                        run = future.result()
+                    except BrokenExecutor:
+                        raise  # the pool itself failed, not this run
+                    except Exception as exc:  # keep sweeping, report at the end
+                        report.failures.append((cfg, exc))
+                        continue
+                    report.runs.append(run)
+                    done += 1
+                    cell = cell + run.totals
+                    if raw is not None:
+                        last = run.samples[-1].time_ms if run.samples else 0
+                        raw.write(_row(cfg, last, run.totals) + "\n")
+                report.cells.append(CellSummary(var, pct, cell, done))
+        except BaseException:
+            # drop the runs not yet started; the `with` exit then waits only
+            # for the ones in flight and joins every worker
+            pool.shutdown(cancel_futures=True)
+            raise
     if summary is not None:
         summary.write(SUMMARY_HEADER + "\n")
         for c in report.cells:

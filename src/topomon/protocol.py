@@ -17,30 +17,29 @@ calls: `handle_marker` returns `Send`s, `handle_verified` `Disconnect`s.
 from __future__ import annotations
 
 from collections.abc import Set as AbstractSet
-from dataclasses import dataclass
+from typing import NamedTuple
+
+# Messages are plain named tuples: one is built per relayed marker, and a
+# tuple costs a fraction of a frozen dataclass to construct.
 
 
-@dataclass(frozen=True)
-class Marker:
+class Marker(NamedTuple):
     target: int
     monitor: int
     value: int  # 64-bit round nonce
 
 
-@dataclass(frozen=True)
-class VerifiedMsg:
+class VerifiedMsg(NamedTuple):
     verified_peers: frozenset[int]
 
 
-@dataclass(frozen=True)
-class Send:
+class Send(NamedTuple):
     sender: int  # node the message is attributed to
     to: int
     marker: Marker
 
 
-@dataclass(frozen=True)
-class Disconnect:
+class Disconnect(NamedTuple):
     peer: int
 
 
@@ -93,7 +92,8 @@ class NodeState:
     # -- reputation ----------------------------------------------------------
 
     def reputation(self, peer: int) -> int:
-        return sum(self.status.get((peer, m), 1) for m in self.monitors)
+        status = self.status
+        return sum(status.get((peer, m), 1) for m in self.monitors)
 
     def check_reputation(self, peer: int) -> bool:
         """True when the peer must be disconnected."""
@@ -101,17 +101,16 @@ class NodeState:
             raise UnknownPeer(str(peer))
         if 2 * self.reputation(peer) > len(self.monitors):
             return False
-        return all(
-            self.rounds_seen.get((peer, m), 0) >= self.safe_rounds
-            for m in self.monitors
-        )
+        seen, safe = self.rounds_seen, self.safe_rounds
+        return all(seen.get((peer, m), 0) >= safe for m in self.monitors)
 
     def handle_verified(self, from_monitor: int, v: VerifiedMsg) -> list[Disconnect]:
         if from_monitor not in self.monitors:
             return []  # unknown sender, dropped
-        for p in self.peers():
-            self.status[(p, from_monitor)] = 1 if p in v.verified_peers else 0
-            self.rounds_seen[(p, from_monitor)] = (
-                self.rounds_seen.get((p, from_monitor), 0) + 1
-            )
-        return [Disconnect(p) for p in sorted(self.peers()) if self.check_reputation(p)]
+        status, seen, verified = self.status, self.rounds_seen, v.verified_peers
+        peers = sorted(self.outbound | self.inbound)
+        for p in peers:
+            key = (p, from_monitor)
+            status[key] = 1 if p in verified else 0
+            seen[key] = seen.get(key, 0) + 1
+        return [Disconnect(p) for p in peers if self.check_reputation(p)]

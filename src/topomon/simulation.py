@@ -38,6 +38,10 @@ class ConfigInvalid(Exception):
         super().__init__("; ".join(problems))
         self.problems = problems
 
+    def __reduce__(self):
+        # rebuild from the list, not from the joined message in `args`
+        return type(self), (self.problems,)
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -297,21 +301,25 @@ class World:
         self.engine.schedule(latency, "deliver", kind, frm, to, payload)
 
     def _on_deliver(self, kind: str, frm: int, to: int, payload) -> None:
+        tracing = self.engine.tracing  # trace details are built only when kept
         if to in self.monitors:
             accepted = self.monitors[to].receive_marker(frm, payload)
-            self.engine.trace(
-                kind, frm, to, f"{payload.target}:{payload.value}:{int(accepted)}"
-            )
+            if tracing:
+                self.engine.trace(
+                    kind, frm, to, f"{payload.target}:{payload.value}:{int(accepted)}"
+                )
             return
         if to not in self.nodes:
             return  # recipient departed while the message was in flight
         if kind == "verified":
-            peers = ",".join(str(p) for p in sorted(payload.verified_peers))
-            self.engine.trace(kind, frm, to, peers)
+            if tracing:
+                peers = ",".join(str(p) for p in sorted(payload.verified_peers))
+                self.engine.trace(kind, frm, to, peers)
             for act in self.nodes[to].handle_verified(frm, payload):
                 self._apply_disconnect(to, act.peer)
             return
-        self.engine.trace(kind, frm, to, f"{payload.target}:{payload.value}")
+        if tracing:
+            self.engine.trace(kind, frm, to, f"{payload.target}:{payload.value}")
         for s in self.nodes[to].handle_marker(frm, payload):
             hop = "marker_to_monitor" if s.to in self.monitors else "marker_forwarded"
             self._send(hop, s.sender, s.to, s.marker)
@@ -319,18 +327,11 @@ class World:
     # -- enforcement -----------------------------------------------------------------
 
     def _apply_disconnect(self, owner: int, peer: int) -> None:
+        # `handle_verified` names only peers in the owner's live rows, so the
+        # peer is alive and exactly one of the two directed edges exists
         self.nodes[owner].forget(peer)
-        if peer not in self.nodes:
-            self.topo.banned[owner].add(peer)  # already departed; nothing to sever
-            return
         self.nodes[peer].forget(owner)
-        if peer in self.topo.out.get(owner, ()):
-            edge = (owner, peer)
-        elif owner in self.topo.out.get(peer, ()):
-            edge = (peer, owner)
-        else:
-            self.topo.ban(owner, peer)
-            return
+        edge = (owner, peer) if peer in self.topo.out[owner] else (peer, owner)
         self.topo.close_connection(*edge)
         self.topo.ban(owner, peer)
         self.engine.trace("disconnect", owner, peer, f"edge={edge[0]}>{edge[1]}")

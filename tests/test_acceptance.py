@@ -7,10 +7,11 @@ inline next to each check.
 from __future__ import annotations
 
 import itertools
+import os
 import random
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
-from functools import lru_cache
 from io import StringIO
 
 from topomon.adversary import SingleBehavior
@@ -34,19 +35,41 @@ def report(num: int, title: str, ok: bool, detail: str = "") -> None:
     assert ok, line
 
 
-@lru_cache(maxsize=None)
-def pooled_cell(var_s: float, pct: float, seeds: int = 5):
-    """Pool confusion counts for one (churn, malicious%) cell; track wall time."""
-    total = ConfusionCounts(0, 0, 0)
-    slowest = 0.0
-    for seed in range(seeds):
-        cfg = ExperimentConfig(
-            variability_s=var_s, malicious_pct=pct / 100.0, seed=seed
-        )
-        t0 = time.monotonic()
-        total = total + run_experiment(cfg).totals
-        slowest = max(slowest, time.monotonic() - t0)
-    return total, slowest
+SEEDS = 5
+_CELLS: dict[tuple[float, float], tuple[ConfusionCounts, float]] = {}
+
+
+def _timed_run(cfg: ExperimentConfig) -> tuple[ConfusionCounts, float]:
+    t0 = time.monotonic()
+    totals = run_experiment(cfg).totals
+    return totals, time.monotonic() - t0
+
+
+def prefetch_cells(cells) -> None:
+    """Run every seed of the cells not pooled yet through one process pool.
+
+    Each run is timed inside its worker, so the time is that one run's."""
+    todo = [c for c in dict.fromkeys(cells) if c not in _CELLS]
+    configs = [
+        ExperimentConfig(variability_s=var_s, malicious_pct=pct / 100.0, seed=seed)
+        for var_s, pct in todo
+        for seed in range(SEEDS)
+    ]
+    if not configs:
+        return
+    with ProcessPoolExecutor(min(len(os.sched_getaffinity(0)), len(configs))) as pool:
+        runs = list(pool.map(_timed_run, configs))
+    for k, cell in enumerate(todo):
+        mine = runs[k * SEEDS : (k + 1) * SEEDS]
+        total = sum((counts for counts, _ in mine), ConfusionCounts(0, 0, 0))
+        _CELLS[cell] = total, max(wall for _, wall in mine)
+
+
+def pooled_cell(var_s: float, pct: float) -> tuple[ConfusionCounts, float]:
+    """Pooled confusion counts of one (churn, malicious%) cell over seeds
+    0..SEEDS-1, and the wall time of its slowest run."""
+    prefetch_cells([(var_s, pct)])
+    return _CELLS[(var_s, pct)]
 
 
 def as_pct(x: float | None) -> float:
@@ -54,6 +77,7 @@ def as_pct(x: float | None) -> float:
 
 
 def test_criterion_1_honest_accuracy_under_churn():
+    prefetch_cells([(var, 0.0) for var in (1.0, 5.0, 10.0)])
     worst_p, worst_r, slowest = 100.0, 100.0, 0.0
     for var in (1.0, 5.0, 10.0):
         cell, wall = pooled_cell(var, 0.0)
@@ -70,12 +94,14 @@ def test_criterion_1_honest_accuracy_under_churn():
 
 
 def test_criterion_2_adversarial_accuracy():
+    grid = list(itertools.product((1.0, 5.0, 10.0), (30.0, 40.0, 50.0)))
+    prefetch_cells([(10.0, 20.0), (10.0, 30.0), *grid])
     c20, _ = pooled_cell(10.0, 20.0)
     p20, r20 = as_pct(precision(c20)), as_pct(recall(c20))
     c30, _ = pooled_cell(10.0, 30.0)
     r30 = as_pct(recall(c30))
     trend = []
-    for var, pct in itertools.product((1.0, 5.0, 10.0), (30.0, 40.0, 50.0)):
+    for var, pct in grid:
         cell, _ = pooled_cell(var, pct)
         trend.append(as_pct(recall(cell)) > as_pct(precision(cell)))
     ok = (

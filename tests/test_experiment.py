@@ -2,9 +2,12 @@
 from __future__ import annotations
 
 import io
+import multiprocessing
+import os
 
 import pytest
 
+from topomon import experiment
 from topomon.experiment import (
     CSV_HEADER,
     SUMMARY_HEADER,
@@ -14,7 +17,7 @@ from topomon.experiment import (
     run_sweep,
 )
 from topomon.metrics import ConfusionCounts
-from topomon.simulation import ExperimentConfig
+from topomon.simulation import ConfigInvalid, ExperimentConfig
 
 
 def tiny(**kw) -> ExperimentConfig:
@@ -106,3 +109,58 @@ def test_failed_runs_are_collected_not_raised():
     assert report.cells[0].runs == 0
     assert len(raw.getvalue().splitlines()) == 1  # header only
     assert summary.getvalue().splitlines()[1] == "0,0,,"  # undefined ratios stay blank
+
+
+def test_sweep_reports_in_grid_order_and_leaves_no_worker():
+    seen = []
+    report = run_sweep([10.0, 0.0], [0, 20], 2, base=tiny(seed=100), progress=seen.append)
+    grid = [(v, p, s) for v in (10, 0) for p in (0, 20) for s in (100, 101)]
+    assert seen == [f"var={v} mal={p}% seed={s}" for v, p, s in grid]
+    assert [
+        (r.config.variability_s, r.config.malicious_pct, r.config.seed) for r in report.runs
+    ] == [(v, p / 100.0, s) for v, p, s in grid]
+    assert report.runs[5].totals == run_experiment(report.runs[5].config).totals
+    assert multiprocessing.active_children() == []
+
+
+def test_failed_run_keeps_a_readable_exception_and_leaves_no_worker():
+    bad = tiny(probe_every_ms=10_000_000)
+    report = run_sweep([0.0], [0, 10], 1, base=bad)
+    assert [cfg.seed for cfg, _ in report.failures] == [1, 1]
+    want = ConfigInvalid(bad.validate())
+    for _, exc in report.failures:
+        assert type(exc) is ConfigInvalid
+        assert repr(exc) == repr(want) and exc.problems == want.problems
+    assert multiprocessing.active_children() == []
+
+
+def test_raising_progress_callback_reaches_caller_and_leaves_no_worker():
+    seen = []
+
+    def progress(msg: str) -> None:
+        seen.append(msg)
+        if len(seen) == 2:
+            raise RuntimeError("stop")
+
+    with pytest.raises(RuntimeError, match="stop"):
+        run_sweep([0.0, 10.0], [0, 20], 3, base=tiny(), progress=progress)
+    assert len(seen) == 2
+    assert multiprocessing.active_children() == []
+
+
+def _worker_dies(cfg):
+    os._exit(3)
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork", reason="the patch reaches only forked workers"
+)
+def test_dead_worker_breaks_the_sweep_and_leaves_no_worker(monkeypatch):
+    # the workers fork after the patch, so each one exits on its first run;
+    # that is a broken pool, not a failed run, and it reaches the caller
+    from concurrent.futures.process import BrokenProcessPool
+
+    monkeypatch.setattr(experiment, "run_experiment", _worker_dies)
+    with pytest.raises(BrokenProcessPool):
+        run_sweep([0.0], [0, 20], 2, base=tiny())
+    assert multiprocessing.active_children() == []

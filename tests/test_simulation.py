@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import io
 import math
+import pickle
 import random
 import sys
 
@@ -55,6 +56,15 @@ def test_config_validation_rejects_hanging_or_wrong_configs(kw, problem):
     assert problem in cfg.validate()
     with pytest.raises(ConfigInvalid):
         World(cfg)
+
+
+def test_config_invalid_survives_pickling():
+    # a sweep's worker process sends a failed run's exception back pickled
+    err = ConfigInvalid(ExperimentConfig(nodes=0, monitors=0).validate())
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is ConfigInvalid
+    assert str(back) == str(err) and back.problems == err.problems
+    assert repr(back) == repr(err)
 
 
 def test_out_of_range_monitor_f_init_is_refused_up_front():
