@@ -67,10 +67,14 @@ class AdversaryPolicy:
         return self.topo.roles.get(node_id) is Role.MALICIOUS
 
     def connected_colluders(self, node_id: int) -> list[int]:
+        return sorted(self.colluder_peers(node_id))
+
+    def colluder_peers(self, node_id: int) -> list[int]:
+        """`connected_colluders` in no particular order."""
         t, roles, mal = self.topo, self.topo.roles, Role.MALICIOUS
         if roles.get(node_id) is not mal:
             return []
-        return sorted([p for p in t.out[node_id] | t.inb[node_id] if roles[p] is mal])
+        return [p for p in t.out[node_id] | t.inb[node_id] if roles[p] is mal]
 
 
 class Adversary:
@@ -140,11 +144,11 @@ class Adversary:
             if pol.is_colluder(sender):
                 return []  # clique-internal link stays hidden
             # hide the honest link, leak the nonce through the clique
-            ring = set(pol.connected_colluders(st.id))
+            ring = set(pol.colluder_peers(st.id))
             if pol.share_hops >= 2:
                 second: set[int] = set()
-                for c in sorted(ring):
-                    second.update(pol.connected_colluders(c))
+                for c in ring:
+                    second.update(pol.colluder_peers(c))
                 second -= ring | {st.id}
                 for c in sorted(second):
                     if pol.rng.random() < pol.second_hop_p:

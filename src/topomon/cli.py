@@ -51,8 +51,12 @@ def _coerce(name: str, raw: str):
 
 def load_config_file(path: str | Path) -> dict:
     """Parse flat key=value lines into ExperimentConfig field overrides."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:  # missing, a directory, unreadable: bad input
+        raise ValueError(f"cannot read config file {path}: {exc.strerror}") from None
     out = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue

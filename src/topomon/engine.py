@@ -3,13 +3,19 @@
 All simulation time is integer milliseconds. Determinism contract: two engines
 built from the same seed that schedule the same work in the same order produce
 bit-identical event sequences, RNG draws, and trace output.
+
+A scheduled event is a plain list `[fire_at, seq, kind, data]`, pushed onto
+the heap as is: `seq` is unique, so heap order is decided by the two ints
+and never reaches `kind`. `schedule` returns that list; `Engine.cancel`
+marks it dead by clearing its kind, and `run_until` drops dead entries
+without counting them.
 """
 from __future__ import annotations
 
 import hashlib
-import heapq
 import math
 import random
+from heapq import heappop, heappush
 from typing import Any, Callable, TextIO
 
 SimTime = int  # milliseconds
@@ -55,35 +61,22 @@ def sample_poisson(rng: random.Random, mean: float) -> int:
         k += 1
 
 
-class _Entry:
-    """A scheduled event. Setting `cancelled` makes `run_until` skip it."""
-
-    __slots__ = ("fire_at", "kind", "data", "cancelled")
-
-    def __init__(self, fire_at: SimTime, kind: str, data: tuple) -> None:
-        self.fire_at = fire_at
-        self.kind = kind
-        self.data = data
-        self.cancelled = False
-
-
 class Engine:
     """Event loop over a virtual ms clock.
 
     Handlers are registered per event kind; `schedule` enqueues, `run_until`
     drains in (fire_at, seq) order. Ties on fire_at resolve in scheduling
-    order, which is what makes runs reproducible. The heap holds
-    `(fire_at, seq, entry)` tuples; `seq` is unique, so ordering is decided
-    by tuple comparison of two ints and never reaches the entry.
+    order, which is what makes runs reproducible.
     """
 
     def __init__(self, seed: int, trace: TextIO | None = None) -> None:
         self.seed = seed
         self.now: SimTime = 0
-        self._heap: list[tuple[SimTime, int, _Entry]] = []
+        self._heap: list[list] = []
         self._seq = 0
         self._handlers: dict[str, Callable[..., None]] = {}
         self._trace = trace
+        self.tracing = trace is not None  # callers can skip building trace detail
         self.events_processed = 0
         # Per-purpose RNG substreams. Keeping them separate means e.g. a
         # different latency range cannot perturb churn timing.
@@ -96,36 +89,35 @@ class Engine:
     def on(self, kind: str, handler: Callable[..., None]) -> None:
         self._handlers[kind] = handler
 
-    def schedule(self, delay_ms: int, kind: str, *data: Any) -> _Entry:
+    def schedule(self, delay_ms: int, kind: str, *data: Any) -> list:
         if delay_ms < 0:
             raise ValueError("delay_ms must be >= 0")
-        entry = _Entry(self.now + delay_ms, kind, data)
-        heapq.heappush(self._heap, (entry.fire_at, self._seq, entry))
+        entry = [self.now + delay_ms, self._seq, kind, data]
         self._seq += 1
+        heappush(self._heap, entry)
         return entry
+
+    def cancel(self, entry: list) -> None:
+        """Never fire `entry`; harmless if it already fired or was cancelled."""
+        entry[2] = None
 
     def run_until(self, t_end: SimTime) -> int:
         """Process every event with fire_at <= t_end; advance clock to t_end."""
-        heap, handlers, pop = self._heap, self._handlers, heapq.heappop
+        heap, handlers = self._heap, self._handlers
         processed = 0
         while heap and heap[0][0] <= t_end:
-            fire_at, _, entry = pop(heap)
-            if entry.cancelled:
+            fire_at, _, kind, data = heappop(heap)
+            if kind is None:
                 continue
             self.now = fire_at
-            handler = handlers.get(entry.kind)
+            handler = handlers.get(kind)
             if handler is None:
-                raise KeyError(f"no handler for event kind {entry.kind!r}")
-            handler(*entry.data)
+                raise KeyError(f"no handler for event kind {kind!r}")
+            handler(*data)
             processed += 1
         self.now = t_end
         self.events_processed += processed
         return processed
-
-    @property
-    def tracing(self) -> bool:
-        """True when `trace` writes; callers can skip building its detail."""
-        return self._trace is not None
 
     def trace(self, kind: str, frm: Any = "-", to: Any = "-", detail: str = "") -> None:
         if self._trace is not None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-KINDS = ("marker_from_monitor", "marker_forwarded", "marker_to_monitor", "verified")
+KINDS = frozenset(("marker_from_monitor", "marker_forwarded", "marker_to_monitor", "verified"))
 
 
 @dataclass(frozen=True)
@@ -68,8 +68,9 @@ class OverheadLedger:
     def count(self, kind: str, frm: int, to: int) -> None:
         if kind not in KINDS:
             raise ValueError(f"unknown message kind {kind!r}")
-        self.sent[(frm, kind)] = self.sent.get((frm, kind), 0) + 1
-        self.recv[(to, kind)] = self.recv.get((to, kind), 0) + 1
+        sent, recv = self.sent, self.recv
+        sent[frm, kind] = sent.get((frm, kind), 0) + 1
+        recv[to, kind] = recv.get((to, kind), 0) + 1
 
     def sent_of(self, node: int, kind: str) -> int:
         return self.sent.get((node, kind), 0)

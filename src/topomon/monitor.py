@@ -39,7 +39,7 @@ class EmptyInput(Exception):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class Round:
     target: int
     value: int
@@ -126,15 +126,22 @@ class Monitor:
         stale nonce values (replays), wrong monitor, closed rounds, the
         target answering for itself, or senders no longer in the view.
         """
-        rnd = self.rounds.get(m.target)
+        target = m.target
+        rnd = self.rounds.get(target)
         if rnd is None or m.monitor != self.id or m.value != rnd.value:
             return False
-        if sender == m.target or sender == self.id or sender not in self.nodes:
+        if sender == target or sender == self.id or sender not in self.nodes:
             return False
         rnd.collected.add(sender)
-        # confirmed link, visible at once
-        self.out.setdefault(m.target, set()).add(sender)
-        self.inb.setdefault(sender, set()).add(m.target)
+        # confirmed link, visible at once; a row is built only when missing
+        row = self.out.get(target)
+        if row is None:
+            row = self.out[target] = set()
+        row.add(sender)
+        row = self.inb.get(sender)
+        if row is None:
+            row = self.inb[sender] = set()
+        row.add(target)
         return True
 
     def close_round(self, target: int) -> frozenset[int]:

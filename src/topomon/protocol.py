@@ -99,18 +99,29 @@ class NodeState:
         """True when the peer must be disconnected."""
         if peer not in self.outbound and peer not in self.inbound:
             raise UnknownPeer(str(peer))
-        if 2 * self.reputation(peer) > len(self.monitors):
-            return False
-        seen, safe = self.rounds_seen, self.safe_rounds
-        return all(seen.get((peer, m), 0) >= safe for m in self.monitors)
+        return self._must_disconnect(peer)
+
+    def _must_disconnect(self, peer: int) -> bool:
+        # every monitor has reported safe_rounds times, and at most half vouch
+        status, seen, safe = self.status, self.rounds_seen, self.safe_rounds
+        vouches = 0
+        for m in self.monitors:
+            key = (peer, m)
+            if seen.get(key, 0) < safe:
+                return False
+            vouches += status.get(key, 1)
+        return 2 * vouches <= len(self.monitors)
 
     def handle_verified(self, from_monitor: int, v: VerifiedMsg) -> list[Disconnect]:
         if from_monitor not in self.monitors:
             return []  # unknown sender, dropped
         status, seen, verified = self.status, self.rounds_seen, v.verified_peers
-        peers = sorted(self.outbound | self.inbound)
-        for p in peers:
+        cut = []
+        # a report for p touches only p's tallies, so p is judged right away
+        for p in sorted(self.outbound | self.inbound):
             key = (p, from_monitor)
             status[key] = 1 if p in verified else 0
             seen[key] = seen.get(key, 0) + 1
-        return [Disconnect(p) for p in peers if self.check_reputation(p)]
+            if self._must_disconnect(p):
+                cut.append(Disconnect(p))
+        return cut

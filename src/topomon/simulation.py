@@ -23,6 +23,7 @@ The `Topology` alone stores links and bans; each node reads its own rows.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from topomon.adversary import Adversary, AdversaryPolicy, SingleBehavior
@@ -70,7 +71,8 @@ class ExperimentConfig:
     monitor_f_init: tuple[int, ...] | None = None  # per-monitor override
 
     def validate(self) -> list[str]:
-        bad = []
+        floats = ("variability_s", "malicious_pct", "second_hop_p")
+        bad = [f"{f} must be finite" for f in floats if not math.isfinite(getattr(self, f))]
         if self.nodes < 1:
             bad.append("nodes must be >= 1")
         if self.monitors < 1:
@@ -148,7 +150,9 @@ class World:
             second_hop_p=cfg.second_hop_p,
         )
         self.ledger = OverheadLedger()
-        self.pending: dict[tuple[int, int], object] = {}
+        self.pending: dict[tuple[int, int], list] = {}  # live round entry
+        lo, hi = cfg.latency_ms_range  # (lo, n, bits) of `_send`'s inlined randint
+        self._latency = (lo, hi - lo + 1, (hi - lo + 1).bit_length())
         self.probes: list[ProbeSample] = []
 
         eng = self.engine
@@ -220,7 +224,7 @@ class World:
             repair = self.monitors[mid].node_departed(nid)
             entry = self.pending.pop((mid, nid), None)
             if entry is not None:
-                entry.cancelled = True
+                self.engine.cancel(entry)
             for p in repair:
                 self._request_scan(mid, p)
 
@@ -260,7 +264,7 @@ class World:
             return
         entry = self.pending.pop((mid, target), None)
         if entry is not None:
-            entry.cancelled = True
+            self.engine.cancel(entry)
         self._schedule_round(mid, target, 0)
 
     def _on_round_start(self, mid: int, target: int) -> None:
@@ -295,15 +299,20 @@ class World:
     # -- message transport ---------------------------------------------------------
 
     def _send(self, kind: str, frm: int, to: int, payload) -> None:
-        lo, hi = self.cfg.latency_ms_range
-        latency = self.engine.rng_latency.randint(lo, hi)
+        # randint(lo, hi) as CPython draws it, by rejection over getrandbits
+        lo, n, k = self._latency
+        getrandbits = self.engine.rng_latency.getrandbits
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
         self.ledger.count(kind, frm, to)
-        self.engine.schedule(latency, "deliver", kind, frm, to, payload)
+        self.engine.schedule(lo + r, "deliver", kind, frm, to, payload)
 
     def _on_deliver(self, kind: str, frm: int, to: int, payload) -> None:
         tracing = self.engine.tracing  # trace details are built only when kept
-        if to in self.monitors:
-            accepted = self.monitors[to].receive_marker(frm, payload)
+        mon = self.monitors.get(to)
+        if mon is not None:
+            accepted = mon.receive_marker(frm, payload)
             if tracing:
                 self.engine.trace(
                     kind, frm, to, f"{payload.target}:{payload.value}:{int(accepted)}"

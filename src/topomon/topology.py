@@ -85,11 +85,12 @@ class Topology:
         self._next_id += 1
         return nid
 
+    # ids rise and are never reused, and monitors have no row: `out` is sorted
     def peers_alive(self) -> list[int]:
-        return sorted(n for n, r in self.roles.items() if r is not Role.MONITOR)
+        return list(self.out)
 
     def malicious_alive(self) -> list[int]:
-        return sorted(n for n, r in self.roles.items() if r is Role.MALICIOUS)
+        return [n for n in self.out if self.roles[n] is Role.MALICIOUS]
 
     def population(self) -> int:
         return len(self.roles) - len(self.monitors)
@@ -202,11 +203,11 @@ class Topology:
         return Role.MALICIOUS if mal < want - 0.5 else Role.HONEST
 
     def steer_remove_node(self, cfg: ChurnConfig, rng: random.Random) -> int:
-        mal = set(self.malicious_alive())
-        hon = [n for n in self.peers_alive() if n not in mal]
+        mal = self.malicious_alive()
+        hon = [n for n in self.out if self.roles[n] is Role.HONEST]
         want = cfg.malicious_fraction * (self.population() - 1)
         take_malicious = len(mal) >= want + 0.5
-        pool = sorted(mal) if (take_malicious and mal) else (hon or sorted(mal))
+        pool = mal if (take_malicious and mal) else (hon or mal)
         return rng.choice(pool)
 
     def churn_tick(self, cfg: ChurnConfig, rng: random.Random) -> NodeAdded | NodeRemoved:

@@ -76,6 +76,24 @@ def test_invalid_settings_exit_2(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_infinite_variability_exits_2(tmp_path, capsys):
+    assert main(["run", "--var", "inf", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "variability_s must be finite" in err and "Traceback" not in err
+
+
+def test_missing_config_file_exits_2(tmp_path, capsys):
+    assert main(["run", "--config", str(tmp_path / "nonexistent")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read config file") and err.count("\n") == 1
+
+
+def test_config_path_that_is_a_directory_exits_2(tmp_path, capsys):
+    assert main(["run", "--config", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read config file") and err.count("\n") == 1
+
+
 def test_sweep_writes_raw_and_summary(tmp_path, capsys):
     rc = main(
         [

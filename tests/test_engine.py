@@ -88,10 +88,30 @@ def test_cancelled_events_are_skipped():
     eng.on("x", lambda: hits.append(eng.now))
     keep = eng.schedule(5, "x")
     drop = eng.schedule(3, "x")
-    drop.cancelled = True
+    eng.cancel(drop)
     eng.run_until(10)
     assert hits == [5]
-    assert not keep.cancelled
+    # cancelling `drop` left `keep` live: it fired, and only it was counted
+    assert eng.events_processed == 1
+    eng.cancel(keep)  # after it fired: no effect
+    assert eng.run_until(20) == 0 and hits == [5]
+
+
+def test_cancel_twice_or_after_firing_is_harmless_and_ties_keep_order():
+    eng = make_engine()
+    order = []
+    eng.on("x", lambda tag: order.append(tag))
+    a, b, _ = (eng.schedule(5, "x", tag) for tag in "ABC")
+    eng.cancel(b)
+    eng.cancel(b)
+    assert eng.run_until(5) == 2
+    eng.cancel(a)
+    d = eng.schedule(0, "x", "D")
+    eng.schedule(0, "x", "E")
+    eng.cancel(d)
+    assert eng.run_until(10) == 1
+    assert order == ["A", "C", "E"]
+    assert eng.events_processed == 3
 
 
 def test_missing_handler_raises():
@@ -112,6 +132,26 @@ def test_processing_order_is_total_by_time_then_seq(delays):
     eng.run_until(10_001)
     expected = [i for _, i in sorted((d, i) for i, d in enumerate(delays))]
     assert seen == expected
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(min_value=0, max_value=50), st.booleans()), max_size=60
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_cancelled_entries_never_fire_nor_count(plan):
+    eng = make_engine()
+    seen = []
+    eng.on("x", lambda i: seen.append(i))
+    entries = [eng.schedule(d, "x", i) for i, (d, _) in enumerate(plan)]
+    for entry, (_, cancel) in zip(entries, plan):
+        if cancel:
+            eng.cancel(entry)
+    processed = eng.run_until(51)
+    live = sorted((d, i) for i, (d, cancel) in enumerate(plan) if not cancel)
+    assert seen == [i for _, i in live]
+    assert processed == eng.events_processed == len(live)
 
 
 def test_causality_clock_matches_fire_time():

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 from topomon.adversary import Adversary, SingleBehavior
-from topomon.engine import POISSON_MAX_MEAN, sample_poisson
+from topomon.engine import POISSON_MAX_MEAN, sample_poisson, substream
 from topomon.simulation import ConfigInvalid, ExperimentConfig, World
 
 
@@ -56,6 +56,29 @@ def test_config_validation_rejects_hanging_or_wrong_configs(kw, problem):
     assert problem in cfg.validate()
     with pytest.raises(ConfigInvalid):
         World(cfg)
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+@pytest.mark.parametrize("name", ["variability_s", "malicious_pct", "second_hop_p"])
+def test_config_validation_rejects_non_finite_floats(name, value):
+    # inf churn spacing overflowed in World; nan slipped past range checks
+    cfg = ExperimentConfig(**{name: value})
+    assert f"{name} must be finite" in cfg.validate()
+    with pytest.raises(ConfigInvalid):
+        World(cfg)
+
+
+@pytest.mark.parametrize("bounds", [(5, 50), (0, 0), (7, 7), (0, 1), (1, 1000)])
+def test_latency_draws_match_randint(bounds):
+    # `_send` inlines randint; it must consume the stream exactly as randint does
+    w = World(small(latency_ms_range=bounds))
+    ref = substream(w.cfg.seed, "latency")  # a Random seeded as the World's stream
+    delays = []
+    w.engine.schedule = lambda delay, kind, *data: delays.append(delay)
+    for _ in range(300):
+        w._send("verified", 0, 5, None)
+    assert delays == [ref.randint(*bounds) for _ in range(300)]
+    assert w.engine.rng_latency.getstate() == ref.getstate()
 
 
 def test_config_invalid_survives_pickling():

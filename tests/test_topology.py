@@ -4,6 +4,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topomon.topology import (
     BannedPeer,
@@ -182,3 +184,28 @@ def test_export_formats():
     assert dot.rstrip().endswith("}")
     for a, b in topo.peer_edges():
         assert f"n{a} -> n{b};" in dot
+
+
+@given(
+    st.integers(min_value=0, max_value=2**32),
+    st.lists(st.sampled_from(["honest", "malicious", "leave", "tick", "monitor"]), max_size=80),
+)
+@settings(max_examples=100, deadline=None)
+def test_live_lists_equal_their_sorted_definitions(seed, ops):
+    # both lists are read straight off the rows, relying on ids rising
+    topo = build(6, seed=seed % 97, monitors=2, frac=0.3)
+    rng = random.Random(seed)
+    cfg = ChurnConfig(target_population=8, malicious_fraction=0.3)
+    for op in ops:
+        if op in ("honest", "malicious"):
+            topo.add_node(Role(op), rng, allow_short=True)
+        elif op == "leave" and topo.population() > 0:
+            topo.remove_node(rng.choice(sorted(topo.out)), rng)
+        elif op == "tick" and topo.population() > topo.target_outbound:
+            topo.churn_tick(cfg, rng)
+        elif op == "monitor":
+            topo.add_monitor()
+        peers = sorted(n for n, r in topo.roles.items() if r is not Role.MONITOR)
+        bad = sorted(n for n, r in topo.roles.items() if r is Role.MALICIOUS)
+        assert topo.peers_alive() == peers
+        assert topo.malicious_alive() == bad
