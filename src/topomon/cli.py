@@ -8,8 +8,11 @@ Subcommands:
 * ``export-topology``  bootstrap (optionally settle) a world, dump edge list or DOT
 
 Settings resolve as defaults < config file < explicit flags.  The config file
-is flat ``key = value`` lines using ExperimentConfig field names; ``#`` starts
-a comment.  ``--out`` falls back to $TOPOMON_OUT, then the current directory.
+is flat ``key = value`` lines (``#`` starts a comment) keyed by ExperimentConfig
+field names, each parsed by its field's type, as its flag is.  ``--malicious``
+takes a percent, ``--soft-hiding`` and ``--no-adaptive`` set false, and only a
+file sets ``monitor_f_init`` or ``full_hiding = true``.  ``--out`` falls back to
+$TOPOMON_OUT, then the current directory.
 """
 from __future__ import annotations
 
@@ -21,32 +24,63 @@ from pathlib import Path
 
 from .experiment import _num, run_experiment, run_sweep
 from .metrics import audit_overhead
+from .monitor import SCHEDULING_MODES
 from .simulation import ConfigInvalid, ExperimentConfig, World
 
 _BOOLS = {"true": True, "yes": True, "on": True, "1": True,
           "false": False, "no": False, "off": False, "0": False}
 
 
-def _coerce(name: str, raw: str):
-    kinds = {f.name: f.type for f in fields(ExperimentConfig)}
-    if name not in kinds:
-        raise ValueError(f"unknown config key {name!r} (valid: {', '.join(sorted(kinds))})")
-    raw = raw.strip()
-    if name == "latency_ms_range":
-        lo, hi = (int(p) for p in raw.split(","))
-        return (lo, hi)
-    if name == "monitor_f_init":
-        return None if raw in ("", "none") else tuple(int(p) for p in raw.split(","))
-    if name == "scheduling_mode":
-        return raw
-    if kinds[name] == "bool":
-        try:
-            return _BOOLS[raw.lower()]
-        except KeyError:
-            raise ValueError(f"{name}: expected a boolean, got {raw!r}") from None
-    if kinds[name] == "int":
-        return int(raw)
-    return float(raw)
+# Parsers are named for argparse's "invalid <name> value" message.
+def int_pair(text: str) -> tuple[int, int]:
+    lo, hi = (int(p) for p in text.split(","))
+    return (lo, hi)
+
+
+def int_list(text: str) -> tuple[int, ...] | None:
+    return None if text in ("", "none") else tuple(int(p) for p in text.split(","))
+
+
+def percent(text: str) -> float:
+    return float(text) / 100.0
+
+
+# the parser of each ExperimentConfig field type, for config values and flags alike
+_PARSE = {
+    "int": int,
+    "float": float,
+    "bool": lambda text: _BOOLS[text.lower()],
+    "str": str,
+    "tuple[int, int]": int_pair,
+    "tuple[int, ...] | None": int_list,
+}
+_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
+
+# (flag, field, argparse options); the first four rows are the short set
+_FLAGS = (
+    ("--seed", "seed", {}),
+    ("--nodes", "nodes", {}),
+    ("--monitors", "monitors", {}),
+    ("--outbound", "outbound_per_node", {"help": "outbound slots per node"}),
+    ("--var", "variability_s", {"help": "mean churn inter-arrival, seconds; 0 = static"}),
+    ("--malicious", "malicious_pct", {"type": percent, "help": "malicious population, percent"}),
+    ("--duration-ms", "duration_ms", {}),
+    ("--probe-every-ms", "probe_every_ms", {}),
+    ("--timeout-ms", "round_timeout_ms", {}),
+    ("--f-init", "f_init", {}),
+    ("--f-min", "f_min", {}),
+    ("--f-max", "f_max", {}),
+    ("--safe-rounds", "safe_rounds", {}),
+    ("--mode", "scheduling_mode", {"choices": SCHEDULING_MODES}),
+    ("--latency", "latency_ms_range", {"help": "LO,HI delivery delay bounds in ms"}),
+    ("--share-hops", "share_hops", {"choices": (1, 2)}),
+    ("--second-hop-p", "second_hop_p", {}),
+    ("--soft-hiding", "full_hiding", {"action": "store_const", "const": False,
+                                      "help": "colluders still forward probes to honest peers"}),
+    ("--malicious-refill", "malicious_refill", {"action": "store_const", "const": True}),
+    ("--no-adaptive", "adaptive", {"action": "store_const", "const": False,
+                                   "help": "pin scan frequency at f_init"}),
+)
 
 
 def load_config_file(path: str | Path) -> dict:
@@ -62,46 +96,23 @@ def load_config_file(path: str | Path) -> dict:
             continue
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key = value")
-        key, _, val = line.partition("=")
-        out[key.strip()] = _coerce(key.strip(), val)
+        key, val = (part.strip() for part in line.split("=", 1))
+        kind = _TYPES.get(key)
+        if kind is None:
+            valid = ", ".join(sorted(_TYPES))
+            raise ValueError(f"{path}:{lineno}: unknown config key {key!r} (valid: {valid})")
+        try:
+            out[key] = _PARSE[kind](val)
+        except (KeyError, ValueError):  # KeyError: not a boolean word
+            raise ValueError(f"{path}:{lineno}: {key}: expected {kind}, got {val!r}") from None
     return out
 
 
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
-    overrides = {}
-    if getattr(args, "config", None):
-        overrides.update(load_config_file(args.config))
-    flag_map = {
-        "nodes": "nodes",
-        "monitors": "monitors",
-        "outbound": "outbound_per_node",
-        "var": "variability_s",
-        "seed": "seed",
-        "duration_ms": "duration_ms",
-        "probe_every_ms": "probe_every_ms",
-        "timeout_ms": "round_timeout_ms",
-        "f_init": "f_init",
-        "f_min": "f_min",
-        "f_max": "f_max",
-        "safe_rounds": "safe_rounds",
-        "mode": "scheduling_mode",
-        "share_hops": "share_hops",
-        "second_hop_p": "second_hop_p",
-    }
-    for flag, field_name in flag_map.items():
-        val = getattr(args, flag, None)
-        if val is not None:
-            overrides[field_name] = val
-    if getattr(args, "malicious", None) is not None:
-        overrides["malicious_pct"] = args.malicious / 100.0
-    if getattr(args, "latency", None) is not None:
-        overrides["latency_ms_range"] = _coerce("latency_ms_range", args.latency)
-    if getattr(args, "soft_hiding", None):
-        overrides["full_hiding"] = False
-    if getattr(args, "malicious_refill", None):
-        overrides["malicious_refill"] = True
-    if getattr(args, "no_adaptive", None):
-        overrides["adaptive"] = False
+    overrides = load_config_file(args.config) if getattr(args, "config", None) else {}
+    for name in _TYPES:  # each flag's dest is its field's name
+        if getattr(args, name, None) is not None:
+            overrides[name] = getattr(args, name)
     cfg = replace(ExperimentConfig(), **overrides)
     problems = cfg.validate()
     if problems:
@@ -110,40 +121,21 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
-    root = args.out or os.environ.get("TOPOMON_OUT") or "."
-    path = Path(root)
-    path.mkdir(parents=True, exist_ok=True)
+    path = Path(args.out or os.environ.get("TOPOMON_OUT") or ".")
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a regular file on the path, unwritable: bad input
+        raise ValueError(f"cannot use output directory {path}: {exc.strerror}") from None
     return path
 
 
 def _add_config_flags(p: argparse.ArgumentParser, *, full: bool = True) -> None:
     p.add_argument("--config", help="flat key=value settings file")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--nodes", type=int)
-    p.add_argument("--monitors", type=int)
-    p.add_argument("--outbound", type=int, help="outbound slots per node")
     p.add_argument("--out", help="output directory (default $TOPOMON_OUT or .)")
-    if not full:
-        return
-    p.add_argument("--var", type=float, help="mean churn inter-arrival, seconds; 0 = static")
-    p.add_argument("--malicious", type=float, help="malicious population, percent")
-    p.add_argument("--duration-ms", type=int, dest="duration_ms")
-    p.add_argument("--probe-every-ms", type=int, dest="probe_every_ms")
-    p.add_argument("--timeout-ms", type=int, dest="timeout_ms")
-    p.add_argument("--f-init", type=int, dest="f_init")
-    p.add_argument("--f-min", type=int, dest="f_min")
-    p.add_argument("--f-max", type=int, dest="f_max")
-    p.add_argument("--safe-rounds", type=int, dest="safe_rounds")
-    p.add_argument("--mode", choices=("poisson", "fixed"))
-    p.add_argument("--latency", help="LO,HI delivery delay bounds in ms")
-    p.add_argument("--share-hops", type=int, dest="share_hops", choices=(1, 2))
-    p.add_argument("--second-hop-p", type=float, dest="second_hop_p")
-    p.add_argument("--soft-hiding", action="store_const", const=True,
-                   help="colluders still forward probes to honest peers")
-    p.add_argument("--malicious-refill", action="store_const", const=True,
-                   dest="malicious_refill")
-    p.add_argument("--no-adaptive", action="store_const", const=True,
-                   dest="no_adaptive", help="pin scan frequency at f_init")
+    for flag, name, opts in _FLAGS if full else _FLAGS[:4]:
+        if "action" not in opts:
+            opts = {"type": _PARSE[_TYPES[name]], **opts}
+        p.add_argument(flag, dest=name, **opts)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:

@@ -26,6 +26,8 @@ from dataclasses import dataclass
 from topomon.engine import sample_poisson
 from topomon.protocol import Marker, VerifiedMsg
 
+SCHEDULING_MODES = ("poisson", "fixed")
+
 
 class RoundAlreadyOpen(Exception):
     pass
@@ -61,7 +63,7 @@ class Monitor:
     ) -> None:
         if not (f_min <= f_init <= f_max):
             raise ValueError("need f_min <= f_init <= f_max")
-        if mode not in ("poisson", "fixed"):
+        if mode not in SCHEDULING_MODES:
             raise ValueError(f"unknown scheduling mode {mode!r}")
         self.id = mon_id
         self.f_init = f_init

@@ -24,12 +24,12 @@ The `Topology` alone stores links and bans; each node reads its own rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from topomon.adversary import Adversary, AdversaryPolicy, SingleBehavior
 from topomon.engine import POISSON_MAX_MEAN, Engine, sample_exponential, substream
 from topomon.metrics import OverheadLedger, classify_edges
-from topomon.monitor import Monitor, compute_global_snapshot
+from topomon.monitor import SCHEDULING_MODES, Monitor, compute_global_snapshot
 from topomon.protocol import NodeState
 from topomon.topology import ChurnConfig, NodeAdded, NodeRemoved, Role, Topology
 
@@ -58,7 +58,7 @@ class ExperimentConfig:
     f_min: int = 1
     f_max: int = 10
     safe_rounds: int = 3
-    scheduling_mode: str = "poisson"  # or "fixed"
+    scheduling_mode: str = "poisson"  # one of SCHEDULING_MODES
     seed: int = 0
     latency_ms_range: tuple[int, int] = (5, 50)
     # adversary shape
@@ -71,37 +71,19 @@ class ExperimentConfig:
     monitor_f_init: tuple[int, ...] | None = None  # per-monitor override
 
     def validate(self) -> list[str]:
-        floats = ("variability_s", "malicious_pct", "second_hop_p")
-        bad = [f"{f} must be finite" for f in floats if not math.isfinite(getattr(self, f))]
-        if self.nodes < 1:
-            bad.append("nodes must be >= 1")
-        if self.monitors < 1:
-            bad.append("monitors must be >= 1")
-        if self.outbound_per_node < 0:
-            bad.append("outbound_per_node must be >= 0")
-        if not 0.0 <= self.malicious_pct <= 1.0:
-            bad.append("malicious_pct must be in [0, 1]")
-        if self.variability_s < 0:
-            bad.append("variability_s must be >= 0")
+        bad = [f"{f} must be finite" for f in _FLOAT_FIELDS if not math.isfinite(getattr(self, f))]
+        for name, lo, hi in _BOUNDS:
+            if not lo <= getattr(self, name) <= hi:
+                bound = f">= {lo}" if hi == math.inf else f"in [{lo}, {hi}]"
+                bad.append(f"{name} must be {bound}")
         if not self.f_min <= self.f_init <= self.f_max:
             bad.append("need f_min <= f_init <= f_max")
-        if self.f_min < 1:
-            bad.append("f_min must be >= 1")
         if self.scheduling_mode == "poisson" and self.f_max > POISSON_MAX_MEAN:
             # Poisson scan delays are drawn with mean up to f_max
             bad.append(f"f_max must be <= {POISSON_MAX_MEAN} in poisson mode")
-        if self.duration_ms < 0:
-            bad.append("duration_ms must be >= 0")
-        if self.probe_every_ms < 1:
-            # the probe reschedules itself this far ahead; 0 never advances
-            bad.append("probe_every_ms must be >= 1")
         if self.probe_every_ms > self.duration_ms:
             bad.append("probe_every_ms must not exceed duration_ms")
-        if self.round_timeout_ms < 1:
-            bad.append("round_timeout_ms must be >= 1")
-        if self.safe_rounds < 0:
-            bad.append("safe_rounds must be >= 0")
-        if self.scheduling_mode not in ("poisson", "fixed"):
+        if self.scheduling_mode not in SCHEDULING_MODES:
             bad.append(f"unknown scheduling_mode {self.scheduling_mode!r}")
         lo, hi = self.latency_ms_range
         if not 0 <= lo <= hi:
@@ -113,9 +95,19 @@ class ExperimentConfig:
                 bad.append("monitor_f_init entries must lie in [f_min, f_max]")
         if not 1 <= self.share_hops <= 2:
             bad.append("share_hops must be 1 or 2")
-        if not 0.0 <= self.second_hop_p <= 1.0:
-            bad.append("second_hop_p must be in [0, 1]")
         return bad
+
+
+# computed once: World.__init__ calls validate() for every run
+_FLOAT_FIELDS = tuple(f.name for f in fields(ExperimentConfig) if f.type == "float")
+# (field, lo, hi): each field must lie in [lo, hi], which reads ">= lo" when hi
+# is infinite; probe_every_ms >= 1 because the probe reschedules itself that far
+_BOUNDS = (
+    ("nodes", 1, math.inf), ("monitors", 1, math.inf), ("outbound_per_node", 0, math.inf),
+    ("variability_s", 0, math.inf), ("malicious_pct", 0, 1), ("second_hop_p", 0, 1),
+    ("duration_ms", 0, math.inf), ("probe_every_ms", 1, math.inf),
+    ("round_timeout_ms", 1, math.inf), ("f_min", 1, math.inf), ("safe_rounds", 0, math.inf),
+)
 
 
 @dataclass(frozen=True)
@@ -187,8 +179,7 @@ class World:
                 sample_exponential(self.engine.rng_churn, self.churn_cfg.variability_ms),
                 "churn",
             )
-        if cfg.probe_every_ms <= cfg.duration_ms:
-            self.engine.schedule(cfg.probe_every_ms, "probe")
+        self.engine.schedule(cfg.probe_every_ms, "probe")  # validate(): within duration_ms
 
     def run(self) -> list[ProbeSample]:
         self.engine.run_until(self.cfg.duration_ms)
