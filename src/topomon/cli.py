@@ -45,6 +45,10 @@ def percent(text: str) -> float:
     return float(text) / 100.0
 
 
+def float_list(text: str) -> list[float]:
+    return [float(p) for p in text.split(",") if p.strip() != ""]
+
+
 # the parser of each ExperimentConfig field type, for config values and flags alike
 _PARSE = {
     "int": int,
@@ -170,10 +174,6 @@ def _fmt_pct(x: float | None) -> str:
     return "n/a" if x is None else f"{100 * x:.1f}%"
 
 
-def _csv_floats(text: str) -> list[float]:
-    return [float(p) for p in text.split(",") if p.strip() != ""]
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     base = build_config(args)
     out = _out_dir(args)
@@ -182,8 +182,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     progress = (lambda msg: print(msg, file=sys.stderr)) if args.verbose else None
     with raw_path.open("w") as raw, summary_path.open("w") as summary:
         report = run_sweep(
-            _csv_floats(args.vars),
-            _csv_floats(args.pcts),
+            args.vars,
+            args.pcts,
             args.repeats,
             base=base,
             raw=raw,
@@ -277,9 +277,9 @@ def main(argv: list[str] | None = None) -> int:
 
     p_sweep = sub.add_parser("sweep", help="grid of runs, raw + summary CSVs")
     _add_config_flags(p_sweep)
-    p_sweep.add_argument("--vars", default="10,5,1",
+    p_sweep.add_argument("--vars", type=float_list, default="10,5,1",
                          help="comma list of churn variabilities, seconds")
-    p_sweep.add_argument("--pcts", default="0,5,10,20,30,40,50",
+    p_sweep.add_argument("--pcts", type=float_list, default="0,5,10,20,30,40,50",
                          help="comma list of malicious percentages")
     p_sweep.add_argument("--repeats", type=int, default=5)
     p_sweep.add_argument("--verbose", action="store_true")
@@ -301,7 +301,10 @@ def main(argv: list[str] | None = None) -> int:
     p_exp.add_argument("--dest", help="write to this file instead of stdout")
     p_exp.set_defaults(fn=_cmd_export)
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # bad flag (2) or --help (0): a code, not a raise
+        return exc.code
     try:
         return args.fn(args)
     except (ConfigInvalid, ValueError) as exc:

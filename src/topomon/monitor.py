@@ -48,6 +48,7 @@ class Round:
     started_at: int
     prior_row: frozenset[int]  # outbound row frozen at round start
     collected: set[int]
+    rescan: bool = False  # a repair scan was asked for while the round was open
 
 
 class Monitor:
@@ -58,7 +59,6 @@ class Monitor:
         f_init: int = 5,
         f_min: int = 1,
         f_max: int = 10,
-        timeout_ms: int = 1000,
         mode: str = "poisson",
     ) -> None:
         if not (f_min <= f_init <= f_max):
@@ -69,14 +69,12 @@ class Monitor:
         self.f_init = f_init
         self.f_min = f_min
         self.f_max = f_max
-        self.timeout_ms = timeout_ms
         self.mode = mode
         self.nodes: set[int] = set()
         self.out: dict[int, set[int]] = {}
         self.inb: dict[int, set[int]] = {}
         self.freq: dict[int, int] = {}
         self.rounds: dict[int, Round] = {}
-        self.rescan_on_close: set[int] = set()
 
     # -- membership ----------------------------------------------------------
 
@@ -91,7 +89,6 @@ class Monitor:
         self.nodes.discard(n)
         self.freq.pop(n, None)
         self.rounds.pop(n, None)
-        self.rescan_on_close.discard(n)
         repair = sorted(self.inb.pop(n, ()))
         for a in repair:
             self.out[a].discard(n)
@@ -108,9 +105,6 @@ class Monitor:
         return frozenset(self.out.get(target, ()))
 
     # -- verification rounds ---------------------------------------------------
-
-    def has_open_round(self, target: int) -> bool:
-        return target in self.rounds
 
     def start_round(self, target: int, rng: random.Random, now: int) -> Marker:
         if target in self.rounds:
@@ -170,8 +164,6 @@ class Monitor:
         return len(prior.symmetric_difference(collected))
 
     def adjust_frequency(self, target: int, c: int) -> None:
-        if target not in self.freq:
-            return
         f = self.freq[target]
         if c == 0 and f < self.f_max:
             self.freq[target] = f + 1
@@ -185,7 +177,7 @@ class Monitor:
 
     def schedule_next_round(self, target: int, rng: random.Random) -> int:
         """Delay in ms from round start to the next round's start."""
-        f = self.freq.get(target, self.f_init)
+        f = self.freq[target]
         if self.mode == "fixed":
             return 1000 * f
         k = sample_poisson(rng, float(f))

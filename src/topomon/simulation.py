@@ -7,10 +7,14 @@ adapts the scan frequency, sends the confirmation list to the target, and
 schedules the next round. Round spacing is measured start to start, with
 the timeout as a floor so rounds for one target never overlap.
 
+`World.pending` holds one live entry per (monitor, live target): the
+`round_start` while no round is open, the `round_timeout` while one is.
+
 Monitors learn joins and departures from the registry the moment they
 happen: a join triggers an immediate first scan, a departure triggers
 repair scans of every node whose row pointed at the departed peer (their
-replacement edges are already live).
+replacement edges are already live); one asked for during an open round
+runs when that round closes.
 
 Reputation disconnects close the ground-truth edge in the same event and
 ban both endpoints for the rest of the run. Honest nodes refill the lost
@@ -31,7 +35,7 @@ from topomon.engine import POISSON_MAX_MEAN, Engine, sample_exponential, substre
 from topomon.metrics import OverheadLedger, classify_edges
 from topomon.monitor import SCHEDULING_MODES, Monitor, compute_global_snapshot
 from topomon.protocol import NodeState
-from topomon.topology import ChurnConfig, NodeAdded, NodeRemoved, Role, Topology
+from topomon.topology import NodeAdded, NodeRemoved, Role, Topology
 
 
 class ConfigInvalid(Exception):
@@ -127,11 +131,7 @@ class World:
         self.engine = Engine(cfg.seed, trace=trace_sink)
         self.snapshot_sink = snapshot_sink
         self.topo = Topology(cfg.outbound_per_node)
-        self.churn_cfg = ChurnConfig(
-            variability_ms=max(1, int(cfg.variability_s * 1000)),
-            target_population=cfg.nodes,
-            malicious_fraction=cfg.malicious_pct,
-        )
+        self.churn_mean_ms = max(1, int(cfg.variability_s * 1000))
         self.nodes: dict[int, NodeState | Adversary] = {}
         self.monitors: dict[int, Monitor] = {}
         self.policy = AdversaryPolicy(
@@ -167,18 +167,13 @@ class World:
                 f_init=f0,
                 f_min=cfg.f_min,
                 f_max=cfg.f_max,
-                timeout_ms=cfg.round_timeout_ms,
                 mode=cfg.scheduling_mode,
             )
         for _ in range(cfg.nodes):
-            role = self.topo.steer_add_role(self.churn_cfg)
-            ev = self.topo.add_node(role, self.engine.rng_topology, allow_short=True)
-            self._node_joined(ev)
+            role = self.topo.steer_add_role(cfg.malicious_pct)
+            self._node_joined(self.topo.add_node(role, self.engine.rng_topology))
         if cfg.variability_s > 0:
-            self.engine.schedule(
-                sample_exponential(self.engine.rng_churn, self.churn_cfg.variability_ms),
-                "churn",
-            )
+            self._schedule_churn()
         self.engine.schedule(cfg.probe_every_ms, "probe")  # validate(): within duration_ms
 
     def run(self) -> list[ProbeSample]:
@@ -213,9 +208,7 @@ class World:
         self.engine.trace("leave", nid, "-", ev.role.value)
         for mid in sorted(self.monitors):
             repair = self.monitors[mid].node_departed(nid)
-            entry = self.pending.pop((mid, nid), None)
-            if entry is not None:
-                self.engine.cancel(entry)
+            self.engine.cancel(self.pending.pop((mid, nid)))
             for p in repair:
                 self._request_scan(mid, p)
 
@@ -247,21 +240,15 @@ class World:
         )
 
     def _request_scan(self, mid: int, target: int) -> None:
-        mon = self.monitors[mid]
-        if target not in mon.nodes:
-            return
-        if mon.has_open_round(target):
-            mon.rescan_on_close.add(target)
-            return
-        entry = self.pending.pop((mid, target), None)
-        if entry is not None:
-            self.engine.cancel(entry)
-        self._schedule_round(mid, target, 0)
+        rnd = self.monitors[mid].rounds.get(target)
+        if rnd is not None:
+            rnd.rescan = True
+        else:
+            self.engine.cancel(self.pending[(mid, target)])
+            self._schedule_round(mid, target, 0)
 
     def _on_round_start(self, mid: int, target: int) -> None:
         mon = self.monitors[mid]
-        if target not in mon.nodes or mon.has_open_round(target):
-            return
         marker = mon.start_round(target, self.engine.rng_marker, self.engine.now)
         self.pending[(mid, target)] = self.engine.schedule(
             self.cfg.round_timeout_ms, "round_timeout", mid, target
@@ -270,21 +257,17 @@ class World:
 
     def _on_round_timeout(self, mid: int, target: int) -> None:
         mon = self.monitors[mid]
-        if not mon.has_open_round(target):
-            return
         rnd = mon.rounds[target]
-        started, prior = rnd.started_at, rnd.prior_row
         collected = mon.close_round(target)
-        c = mon.update_topology(target, collected, prior)
+        c = mon.update_topology(target, collected, rnd.prior_row)
         if self.cfg.adaptive:
             mon.adjust_frequency(target, c)
         self._send("verified", mid, target, mon.build_verified_message(target))
-        if target in mon.rescan_on_close:
-            mon.rescan_on_close.discard(target)
+        if rnd.rescan:
             delay = 0
         else:
             full = mon.schedule_next_round(target, self.engine.rng_sched)
-            delay = max(0, full - (self.engine.now - started))
+            delay = max(0, full - (self.engine.now - rnd.started_at))
         self._schedule_round(mid, target, delay)
 
     # -- message transport ---------------------------------------------------------
@@ -350,16 +333,18 @@ class World:
 
     # -- background processes -----------------------------------------------------------
 
+    def _schedule_churn(self) -> None:
+        delay = sample_exponential(self.engine.rng_churn, self.churn_mean_ms)
+        self.engine.schedule(delay, "churn")
+
     def _on_churn(self) -> None:
-        ev = self.topo.churn_tick(self.churn_cfg, self.engine.rng_churn)
+        cfg = self.cfg
+        ev = self.topo.churn_tick(cfg.nodes, cfg.malicious_pct, self.engine.rng_churn)
         if isinstance(ev, NodeAdded):
             self._node_joined(ev)
         else:
             self._node_left(ev)
-        self.engine.schedule(
-            sample_exponential(self.engine.rng_churn, self.churn_cfg.variability_ms),
-            "churn",
-        )
+        self._schedule_churn()
 
     def global_snapshot(self):
         views = [self.monitors[mid] for mid in sorted(self.monitors)]

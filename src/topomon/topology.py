@@ -8,7 +8,7 @@ edges unless explicitly requested.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 
@@ -38,10 +38,6 @@ class BannedPeer(TopologyError):
     pass
 
 
-class InsufficientPeers(TopologyError):
-    pass
-
-
 @dataclass(frozen=True)
 class NodeAdded:
     node: int
@@ -56,13 +52,6 @@ class NodeRemoved:
     severed_out: tuple[int, ...]  # targets that lost this node as inbound peer
     # (orphaned inbound peer, its replacement target or None)
     rewired: tuple[tuple[int, int | None], ...]
-
-
-@dataclass
-class ChurnConfig:
-    variability_ms: int = 10_000
-    target_population: int = 50
-    malicious_fraction: float = 0.0
 
 
 class Topology:
@@ -106,27 +95,14 @@ class Topology:
         self.monitors.append(nid)
         return nid
 
-    def add_node(
-        self,
-        role: Role,
-        rng: random.Random,
-        *,
-        allow_short: bool = False,
-    ) -> NodeAdded:
-        """Join a node and open target_outbound uniformly random edges.
-
-        allow_short permits fewer targets during bootstrap, when the network
-        is younger than target_outbound nodes.
-        """
+    def add_node(self, role: Role, rng: random.Random) -> NodeAdded:
+        """Join a node and open uniformly random edges to
+        min(target_outbound, live peers) of the live peers."""
         if role is Role.MONITOR:
             raise ValueError("monitors join via add_monitor")
         candidates = self.peers_alive()
-        if len(candidates) < self.target_outbound and not allow_short:
-            raise InsufficientPeers(
-                f"need {self.target_outbound} eligible targets, have {len(candidates)}"
-            )
         k = min(self.target_outbound, len(candidates))
-        targets = tuple(sorted(rng.sample(candidates, k))) if k else ()
+        targets = tuple(sorted(rng.sample(candidates, k)))
         nid = self.new_id()
         self.roles[nid] = role
         self.out[nid] = set()
@@ -197,32 +173,34 @@ class Topology:
 
     # -- churn -------------------------------------------------------------
 
-    def steer_add_role(self, cfg: ChurnConfig) -> Role:
+    def steer_add_role(self, malicious_fraction: float) -> Role:
         mal = len(self.malicious_alive())
-        want = cfg.malicious_fraction * (self.population() + 1)
+        want = malicious_fraction * (self.population() + 1)
         return Role.MALICIOUS if mal < want - 0.5 else Role.HONEST
 
-    def steer_remove_node(self, cfg: ChurnConfig, rng: random.Random) -> int:
+    def steer_remove_node(self, malicious_fraction: float, rng: random.Random) -> int:
         mal = self.malicious_alive()
         hon = [n for n in self.out if self.roles[n] is Role.HONEST]
-        want = cfg.malicious_fraction * (self.population() - 1)
+        want = malicious_fraction * (self.population() - 1)
         take_malicious = len(mal) >= want + 0.5
         pool = mal if (take_malicious and mal) else (hon or mal)
         return rng.choice(pool)
 
-    def churn_tick(self, cfg: ChurnConfig, rng: random.Random) -> NodeAdded | NodeRemoved:
+    def churn_tick(
+        self, target_population: int, malicious_fraction: float, rng: random.Random
+    ) -> NodeAdded | NodeRemoved:
         """One network event, biased to hold population at the target:
         below -> add, above -> remove, at target -> fair coin."""
         pop = self.population()
-        if pop < cfg.target_population:
+        if pop < target_population:
             add = True
-        elif pop > cfg.target_population:
+        elif pop > target_population:
             add = False
         else:
             add = rng.random() < 0.5
         if add:
-            return self.add_node(self.steer_add_role(cfg), rng)
-        return self.remove_node(self.steer_remove_node(cfg, rng), rng)
+            return self.add_node(self.steer_add_role(malicious_fraction), rng)
+        return self.remove_node(self.steer_remove_node(malicious_fraction, rng), rng)
 
     # -- validation & export -------------------------------------------------
 

@@ -35,6 +35,10 @@ def test_trace_and_snapshot_flags_produce_files(tmp_path):
     assert [ln.split("\t")[1] for ln in snaps] == ["m0", "m1", "global"] * 2
 
 
+def test_run_with_fewer_nodes_than_outbound_slots_under_churn(tmp_path):
+    assert main(["run", "--nodes", "3", "--out", str(tmp_path)]) == 0
+
+
 def test_out_dir_falls_back_to_environment(tmp_path, monkeypatch):
     monkeypatch.setenv("TOPOMON_OUT", str(tmp_path / "envdir"))
     assert main(RUN_ARGS) == 0

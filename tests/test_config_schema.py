@@ -91,9 +91,7 @@ def test_short_set_flags_set_their_fields(monkeypatch, flag, value, name, expect
 
 
 def test_short_set_refuses_the_other_flags():
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["export-topology", "--var", "1"])
-    assert exc.value.code == 2
+    assert cli.main(["export-topology", "--var", "1"]) == 2
 
 
 def test_flag_cases_cover_the_flag_table():
@@ -113,12 +111,24 @@ def test_out_path_that_is_a_file_exits_2(tmp_path, capsys, command, under):
 
 
 def test_flag_with_malformed_value_names_flag_and_form(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["run", "--latency", "5"])
-    assert exc.value.code == 2
+    assert cli.main(["run", "--latency", "5"]) == 2
     err = capsys.readouterr().err
     assert "argument --latency: invalid int_pair value: '5'" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--vars", "--pcts"])
+def test_sweep_list_with_malformed_value_names_flag_and_form(tmp_path, capsys, flag):
+    assert cli.main(["sweep", "--out", str(tmp_path), flag, "x"]) == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: invalid float_list value: 'x'" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "sweep_raw.csv").exists()
+
+
+def test_help_returns_0(capsys):
+    assert cli.main(["run", "--help"]) == 0
+    assert "--nodes" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

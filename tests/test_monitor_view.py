@@ -61,7 +61,7 @@ class MonitorViewMachine(RuleBasedStateMachine):
 
     @rule(t=IDS)
     def start_round(self, t):
-        if t not in self.mon.nodes or self.mon.has_open_round(t):
+        if t not in self.mon.nodes or t in self.mon.rounds:
             return
         self.now += 1
         self.markers.append(self.mon.start_round(t, self.rng, self.now))
@@ -81,7 +81,7 @@ class MonitorViewMachine(RuleBasedStateMachine):
 
     @rule(t=IDS)
     def close_round(self, t):
-        if not self.mon.has_open_round(t):
+        if t not in self.mon.rounds:
             return
         prior = self.mon.rounds[t].prior_row
         assert prior == self.priors.pop(t)

@@ -8,9 +8,12 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topomon.adversary import Adversary, SingleBehavior
 from topomon.engine import POISSON_MAX_MEAN, sample_poisson, substream
+from topomon.monitor import SCHEDULING_MODES
 from topomon.simulation import ConfigInvalid, ExperimentConfig, World
 
 
@@ -231,3 +234,57 @@ def test_manual_edge_open_appears_in_monitor_views():
     w.engine.schedule(2_500, "test_open")
     w.run()
     assert all((a, b) in m.edges for m in w.monitors.values())
+
+
+# Joins open min(outbound_per_node, live peers) edges, so a population smaller
+# than the outbound slots still churns.
+@pytest.mark.parametrize(
+    "kw", [{"nodes": 1}, {"nodes": 2}, {"nodes": 3}, {"nodes": 3, "outbound_per_node": 5}]
+)
+def test_small_population_runs_under_churn(kw):
+    w = World(ExperimentConfig(variability_s=1.0, duration_ms=60_000, **kw))
+    w.run()
+    assert w.engine.now == 60_000
+    assert w.topo.audit() == []
+    assert w.topo.new_id() > w.cfg.monitors + w.cfg.nodes  # churn added nodes
+
+
+# Small valid worlds: churn fast enough to replace every node many times,
+# colluders, and round timeouts longer than the shortest scan period, so
+# repair scans land inside open rounds.
+worlds = st.builds(
+    ExperimentConfig,
+    nodes=st.integers(1, 8),
+    monitors=st.integers(1, 3),
+    outbound_per_node=st.integers(0, 4),
+    variability_s=st.sampled_from([0.0, 0.05, 0.4, 2.0]),
+    malicious_pct=st.sampled_from([0.0, 0.25, 0.5]),
+    duration_ms=st.just(40_000),
+    probe_every_ms=st.just(10_000),
+    round_timeout_ms=st.sampled_from([1, 800, 4_000, 15_000]),
+    safe_rounds=st.integers(0, 3),
+    scheduling_mode=st.sampled_from(SCHEDULING_MODES),
+    f_min=st.just(1),
+    f_init=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+)
+
+
+@given(worlds, st.lists(st.integers(1, 6_000), min_size=1, max_size=12))
+@settings(max_examples=150, deadline=None)
+def test_one_live_round_entry_per_monitor_and_live_target(cfg, steps):
+    w = World(cfg)
+    now = 0
+    for step in steps + [cfg.duration_ms]:
+        w.engine.run_until(min(now + step, cfg.duration_ms))
+        assert w.engine.now >= now
+        now = w.engine.now
+        live = set(w.topo.peers_alive())
+        for mid, mon in w.monitors.items():
+            assert mon.nodes == live
+            assert {k for k in w.pending if k[0] == mid} == {(mid, t) for t in mon.nodes}
+            for t in mon.nodes:
+                fire_at, _, kind, _ = w.pending[(mid, t)]
+                assert kind is not None and fire_at > now  # neither cancelled nor fired
+                assert (kind == "round_timeout") == (t in mon.rounds)
+        assert w.topo.audit() == []

@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 
 from topomon.topology import (
     BannedPeer,
-    ChurnConfig,
     DuplicateEdge,
-    InsufficientPeers,
     MutualEdge,
     NodeAdded,
     NodeRemoved,
@@ -25,11 +23,10 @@ def build(n: int, seed: int = 0, monitors: int = 1, frac: float = 0.0) -> Topolo
     """Sequential bootstrap: early joiners take whatever predecessors exist."""
     topo = Topology()
     rng = random.Random(seed)
-    cfg = ChurnConfig(target_population=n, malicious_fraction=frac)
     for _ in range(monitors):
         topo.add_monitor()
     for _ in range(n):
-        topo.add_node(topo.steer_add_role(cfg), rng, allow_short=True)
+        topo.add_node(topo.steer_add_role(frac), rng)
     return topo
 
 
@@ -41,13 +38,14 @@ def test_bootstrap_reaches_full_degree():
     assert topo.audit() == []
 
 
-def test_add_requires_enough_targets():
-    topo = Topology()
-    topo.add_monitor()
-    rng = random.Random(1)
-    topo.add_node(Role.HONEST, rng, allow_short=True)
-    with pytest.raises(InsufficientPeers):
-        topo.add_node(Role.HONEST, rng)
+def test_join_into_fewer_live_peers_than_target_links_to_each():
+    topo = build(2, seed=1)
+    live = topo.peers_alive()
+    assert len(live) < topo.target_outbound
+    ev = topo.add_node(Role.HONEST, random.Random(1))
+    assert ev.targets == tuple(live)
+    assert topo.out[ev.node] == set(live)
+    assert topo.audit() == []
 
 
 def test_add_is_deterministic():
@@ -116,9 +114,8 @@ def test_ids_never_reused():
     topo = build(10, seed=5)
     rng = random.Random(9)
     seen = set(topo.roles)
-    cfg = ChurnConfig(target_population=10)
     for _ in range(200):
-        ev = topo.churn_tick(cfg, rng)
+        ev = topo.churn_tick(10, 0.0, rng)
         if isinstance(ev, NodeAdded):
             assert ev.node not in seen
             seen.add(ev.node)
@@ -126,21 +123,19 @@ def test_ids_never_reused():
 
 
 def test_churn_bias_below_adds_above_removes():
-    cfg = ChurnConfig(target_population=50)
     rng = random.Random(4)
     topo = build(49, seed=4)
-    assert isinstance(topo.churn_tick(cfg, rng), NodeAdded)
+    assert isinstance(topo.churn_tick(50, 0.0, rng), NodeAdded)
     topo = build(51, seed=4)
-    assert isinstance(topo.churn_tick(cfg, rng), NodeRemoved)
+    assert isinstance(topo.churn_tick(50, 0.0, rng), NodeRemoved)
 
 
 def test_population_stays_near_target_over_many_ticks():
     topo = build(50, seed=21, monitors=4)
-    cfg = ChurnConfig(target_population=50)
     rng = random.Random(13)
     lo = hi = 50
     for i in range(10_000):
-        topo.churn_tick(cfg, rng)
+        topo.churn_tick(50, 0.0, rng)
         pop = topo.population()
         lo, hi = min(lo, pop), max(hi, pop)
         if i % 500 == 0:
@@ -150,12 +145,11 @@ def test_population_stays_near_target_over_many_ticks():
 
 def test_malicious_fraction_held_within_one_node():
     topo = build(50, seed=8, monitors=4, frac=0.2)
-    cfg = ChurnConfig(target_population=50, malicious_fraction=0.2)
     rng = random.Random(30)
     total = 0.0
     ticks = 4000
     for _ in range(ticks):
-        topo.churn_tick(cfg, rng)
+        topo.churn_tick(50, 0.2, rng)
         mal = len(topo.malicious_alive())
         want = 0.2 * topo.population()
         assert abs(mal - want) <= 1.0 + 1e-9
@@ -165,10 +159,9 @@ def test_malicious_fraction_held_within_one_node():
 
 def test_degree_restored_after_churn_settles():
     topo = build(50, seed=17, monitors=4)
-    cfg = ChurnConfig(target_population=50)
     rng = random.Random(17)
     for _ in range(500):
-        topo.churn_tick(cfg, rng)
+        topo.churn_tick(50, 0.0, rng)
     short = [n for n in topo.peers_alive() if len(topo.out[n]) != 3]
     # rewiring tops every orphan back up, so shortfalls never accumulate
     assert short == []
@@ -195,14 +188,13 @@ def test_live_lists_equal_their_sorted_definitions(seed, ops):
     # both lists are read straight off the rows, relying on ids rising
     topo = build(6, seed=seed % 97, monitors=2, frac=0.3)
     rng = random.Random(seed)
-    cfg = ChurnConfig(target_population=8, malicious_fraction=0.3)
     for op in ops:
         if op in ("honest", "malicious"):
-            topo.add_node(Role(op), rng, allow_short=True)
+            topo.add_node(Role(op), rng)
         elif op == "leave" and topo.population() > 0:
             topo.remove_node(rng.choice(sorted(topo.out)), rng)
         elif op == "tick" and topo.population() > topo.target_outbound:
-            topo.churn_tick(cfg, rng)
+            topo.churn_tick(8, 0.3, rng)
         elif op == "monitor":
             topo.add_monitor()
         peers = sorted(n for n, r in topo.roles.items() if r is not Role.MONITOR)
