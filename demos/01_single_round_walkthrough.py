@@ -22,7 +22,7 @@ for i in nodes:
     mon.node_discovered(i)
 
 rng = substream(7, "walkthrough")
-marker = mon.start_round(1, rng, now=0)
+marker = mon.start_round(1, rng)
 print(f"monitor opens a round on node 1, nonce {marker.value:#018x}")
 
 fanout = nodes[1].handle_marker(MON, marker)
@@ -36,11 +36,11 @@ for send in fanout:
         print(f"  monitor checks the nonce: {'accepted' if accepted else 'rejected'}")
 
 # node 4 only points AT node 1; it never saw the marker and stays silent.
-collected = mon.close_round(1)
-changes = mon.update_topology(1, collected)
-print(f"round closes; verified outbound row for node 1: {sorted(collected)}")
-print(f"changes vs previous round: {changes}")
+freq_before = mon.freq[1]
+msg, delay_ms = mon.close_round(1, rng)
+print(f"round closes; verified outbound row for node 1: {sorted(mon.outbound_row(1))}")
+# the row went from empty to {2, 3}: two changes shorten the scan period
+print(f"scan frequency for node 1: {freq_before} s -> {mon.freq[1]} s, next round in {delay_ms} ms")
 
-msg = mon.build_verified_message(1)
 print(f"confirmation sent back to node 1 lists: {sorted(msg.verified_peers)}")
 print("(4 is absent: its edge 4->1 gets verified in node 4's own round)")

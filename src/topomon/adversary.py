@@ -43,6 +43,10 @@ class SingleBehavior:
     relay_via: int | None = None
     drop_for: frozenset[int] = frozenset()
 
+    def __post_init__(self) -> None:
+        if self.behavior not in range(1, 7):
+            raise ValueError(f"unknown behavior {self.behavior}")
+
 
 class AdversaryPolicy:
     """Shared collusion state: the ground truth the clique reads, and the
@@ -161,9 +165,6 @@ class Adversary:
     def _single(self, sender: int, m: Marker) -> list[Send]:
         """The chosen misbehavior where it applies; honest relaying elsewhere."""
         st, b = self.state, self.single
-        assert b is not None
-        if b.behavior not in range(1, 7):
-            raise ValueError(f"unknown behavior {b.behavior}")
         own, duty = self._own_probe(sender, m), self._relay_duty(sender, m)
         if b.behavior == 1 and own:
             return [Send(st.id, p, m) for p in sorted(st.inbound)]

@@ -21,6 +21,7 @@ import os
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
+from typing import TextIO
 
 from .experiment import _num, run_experiment, run_sweep
 from .metrics import audit_overhead
@@ -133,6 +134,13 @@ def _out_dir(args: argparse.Namespace) -> Path:
     return path
 
 
+def _open_out(path: Path) -> TextIO:
+    try:
+        return path.open("w")
+    except OSError as exc:  # a directory, a missing parent, unwritable: bad input
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def _add_config_flags(p: argparse.ArgumentParser, *, full: bool = True) -> None:
     p.add_argument("--config", help="flat key=value settings file")
     p.add_argument("--out", help="output directory (default $TOPOMON_OUT or .)")
@@ -152,11 +160,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     csv_path = out / f"{stem}.csv"
     sinks = {}
     try:
-        sinks["raw"] = csv_path.open("w")
+        sinks["raw"] = _open_out(csv_path)
         if args.trace:
-            sinks["trace"] = (out / f"{stem}.trace").open("w")
+            sinks["trace"] = _open_out(out / f"{stem}.trace")
         if args.snapshots:
-            sinks["snapshots"] = (out / f"{stem}.snapshots").open("w")
+            sinks["snapshots"] = _open_out(out / f"{stem}.snapshots")
         report = run_experiment(cfg, **sinks)
     finally:
         for h in sinks.values():
@@ -180,7 +188,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     raw_path = out / "sweep_raw.csv"
     summary_path = out / "sweep_summary.csv"
     progress = (lambda msg: print(msg, file=sys.stderr)) if args.verbose else None
-    with raw_path.open("w") as raw, summary_path.open("w") as summary:
+    with _open_out(raw_path) as raw, _open_out(summary_path) as summary:
         report = run_sweep(
             args.vars,
             args.pcts,
@@ -253,7 +261,8 @@ def _cmd_export(args: argparse.Namespace) -> int:
         lines = world.topo.edge_list_lines(include_monitors=args.include_monitors)
         text = "\n".join(lines) + "\n"
     if args.dest:
-        Path(args.dest).write_text(text)
+        with _open_out(Path(args.dest)) as f:
+            f.write(text)
         print(f"-> {args.dest}")
     else:
         sys.stdout.write(text)

@@ -103,6 +103,8 @@ class Engine:
 
     def run_until(self, t_end: SimTime) -> int:
         """Process every event with fire_at <= t_end; advance clock to t_end."""
+        if t_end < self.now:
+            raise ValueError(f"run_until({t_end}) would move the clock back from {self.now}")
         heap, handlers = self._heap, self._handlers
         processed = 0
         while heap and heap[0][0] <= t_end:

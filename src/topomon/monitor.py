@@ -6,6 +6,11 @@ timeout, and rewrites the target's outbound row in its local view from the
 collected set. The per-node scan frequency breathes with observed change:
 idle rows slow down, churning rows speed up.
 
+The round lifecycle lives here: `start_round` opens a round, `close_round`
+rewrites the row, adapts the frequency and returns the confirmation list
+with the delay from this round's start to the next; this layer never
+reads the clock.
+
 The view is kept as per-node rows: `out[a]` holds the peers a's outbound
 row points at and `inb[b]` the nodes whose rows point at b, always the
 mirror of each other. Every round reads and rewrites only its target's
@@ -43,12 +48,10 @@ class EmptyInput(Exception):
 
 @dataclass(slots=True)
 class Round:
-    target: int
     value: int
-    started_at: int
     prior_row: frozenset[int]  # outbound row frozen at round start
     collected: set[int]
-    rescan: bool = False  # a repair scan was asked for while the round was open
+    rescan: bool = False  # a departure asked for a repair scan while the round was open
 
 
 class Monitor:
@@ -60,6 +63,7 @@ class Monitor:
         f_min: int = 1,
         f_max: int = 10,
         mode: str = "poisson",
+        adaptive: bool = True,  # False pins every scan frequency at f_init
     ) -> None:
         if not (f_min <= f_init <= f_max):
             raise ValueError("need f_min <= f_init <= f_max")
@@ -70,6 +74,7 @@ class Monitor:
         self.f_min = f_min
         self.f_max = f_max
         self.mode = mode
+        self.adaptive = adaptive
         self.nodes: set[int] = set()
         self.out: dict[int, set[int]] = {}
         self.inb: dict[int, set[int]] = {}
@@ -83,18 +88,24 @@ class Monitor:
         self.freq[n] = self.f_init
 
     def node_departed(self, n: int) -> list[int]:
-        """Forget the node. Returns nodes whose row held an edge to it;
-        callers should re-scan those right away, since the departed peer's
-        replacement edges are already live in the ground truth."""
+        """Forget the node. Returns, sorted, the nodes whose row held an edge
+        to it and have no open round, to scan right away: the departed peer's
+        replacement edges are already live in the ground truth. An open round
+        on such a row is flagged, so `close_round` asks for the repair scan."""
         self.nodes.discard(n)
         self.freq.pop(n, None)
         self.rounds.pop(n, None)
-        repair = sorted(self.inb.pop(n, ()))
-        for a in repair:
+        scan_now = []
+        for a in sorted(self.inb.pop(n, ())):
             self.out[a].discard(n)
+            rnd = self.rounds.get(a)
+            if rnd is None:
+                scan_now.append(a)
+            else:
+                rnd.rescan = True
         for b in self.out.pop(n, ()):
             self.inb[b].discard(n)
-        return repair
+        return scan_now
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
@@ -106,13 +117,11 @@ class Monitor:
 
     # -- verification rounds ---------------------------------------------------
 
-    def start_round(self, target: int, rng: random.Random, now: int) -> Marker:
+    def start_round(self, target: int, rng: random.Random) -> Marker:
         if target in self.rounds:
             raise RoundAlreadyOpen(f"monitor {self.id} target {target}")
         value = rng.getrandbits(64)
-        self.rounds[target] = Round(
-            target, value, now, self.outbound_row(target), set()
-        )
+        self.rounds[target] = Round(value, self.outbound_row(target), set())
         return Marker(target=target, monitor=self.id, value=value)
 
     def receive_marker(self, sender: int, m: Marker) -> bool:
@@ -140,21 +149,27 @@ class Monitor:
         row.add(target)
         return True
 
-    def close_round(self, target: int) -> frozenset[int]:
+    def close_round(self, target: int, rng: random.Random) -> tuple[VerifiedMsg, int]:
+        """Rewrite the target's row from the round's relays, adapt its scan
+        frequency, and return the confirmation list for the target with the
+        delay in ms from this round's start to the next: 0, drawing nothing
+        from `rng`, when a departure flagged the row for repair."""
         rnd = self.rounds.pop(target, None)
         if rnd is None:
             raise NoOpenRound(f"monitor {self.id} target {target}")
-        return frozenset(rnd.collected)
+        c = self.update_topology(target, frozenset(rnd.collected), rnd.prior_row)
+        if self.adaptive:
+            self.adjust_frequency(target, c)
+        msg = self.build_verified_message(target)
+        return msg, 0 if rnd.rescan else self.schedule_next_round(target, rng)
 
     # -- view maintenance --------------------------------------------------------
 
     def update_topology(
-        self, target: int, collected: frozenset[int], prior: frozenset[int] | None = None
+        self, target: int, collected: frozenset[int], prior: frozenset[int]
     ) -> int:
         """Rewrite the target's outbound row from the collected set and
-        return how many edges changed against the pre-round row."""
-        if prior is None:
-            prior = self.outbound_row(target)
+        return how many edges changed against `prior`, the pre-round row."""
         row = self.nodes.intersection(collected)
         for b in self.out.get(target, ()):
             self.inb[b].discard(target)

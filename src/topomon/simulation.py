@@ -2,8 +2,8 @@
 honest nodes, and colluders.
 
 Event flow per scan: a round-start event sends the marker to the target;
-the matching timeout event closes the round, rewrites the monitor's view,
-adapts the scan frequency, sends the confirmation list to the target, and
+the matching timeout event, `round_timeout_ms` later, calls the monitor's
+`close_round`, sends the confirmation list it returns to the target, and
 schedules the next round. Round spacing is measured start to start, with
 the timeout as a floor so rounds for one target never overlap.
 
@@ -13,8 +13,8 @@ the timeout as a floor so rounds for one target never overlap.
 Monitors learn joins and departures from the registry the moment they
 happen: a join triggers an immediate first scan, a departure triggers
 repair scans of every node whose row pointed at the departed peer (their
-replacement edges are already live); one asked for during an open round
-runs when that round closes.
+replacement edges are already live); the monitor defers one whose round
+is open to that round's close.
 
 Reputation disconnects close the ground-truth edge in the same event and
 ban both endpoints for the rest of the run. Honest nodes refill the lost
@@ -168,6 +168,7 @@ class World:
                 f_min=cfg.f_min,
                 f_max=cfg.f_max,
                 mode=cfg.scheduling_mode,
+                adaptive=cfg.adaptive,
             )
         for _ in range(cfg.nodes):
             role = self.topo.steer_add_role(cfg.malicious_pct)
@@ -210,7 +211,8 @@ class World:
             repair = self.monitors[mid].node_departed(nid)
             self.engine.cancel(self.pending.pop((mid, nid)))
             for p in repair:
-                self._request_scan(mid, p)
+                self.engine.cancel(self.pending[(mid, p)])
+                self._schedule_round(mid, p, 0)
 
     def convert_to_malicious(self, nid: int, single: SingleBehavior | None = None) -> Adversary:
         """Test aid: flip an existing honest node to a malicious one."""
@@ -239,36 +241,17 @@ class World:
             delay, "round_start", mid, target
         )
 
-    def _request_scan(self, mid: int, target: int) -> None:
-        rnd = self.monitors[mid].rounds.get(target)
-        if rnd is not None:
-            rnd.rescan = True
-        else:
-            self.engine.cancel(self.pending[(mid, target)])
-            self._schedule_round(mid, target, 0)
-
     def _on_round_start(self, mid: int, target: int) -> None:
-        mon = self.monitors[mid]
-        marker = mon.start_round(target, self.engine.rng_marker, self.engine.now)
+        marker = self.monitors[mid].start_round(target, self.engine.rng_marker)
         self.pending[(mid, target)] = self.engine.schedule(
             self.cfg.round_timeout_ms, "round_timeout", mid, target
         )
         self._send("marker_from_monitor", mid, target, marker)
 
     def _on_round_timeout(self, mid: int, target: int) -> None:
-        mon = self.monitors[mid]
-        rnd = mon.rounds[target]
-        collected = mon.close_round(target)
-        c = mon.update_topology(target, collected, rnd.prior_row)
-        if self.cfg.adaptive:
-            mon.adjust_frequency(target, c)
-        self._send("verified", mid, target, mon.build_verified_message(target))
-        if rnd.rescan:
-            delay = 0
-        else:
-            full = mon.schedule_next_round(target, self.engine.rng_sched)
-            delay = max(0, full - (self.engine.now - rnd.started_at))
-        self._schedule_round(mid, target, delay)
+        msg, delay = self.monitors[mid].close_round(target, self.engine.rng_sched)
+        self._send("verified", mid, target, msg)
+        self._schedule_round(mid, target, max(0, delay - self.cfg.round_timeout_ms))
 
     # -- message transport ---------------------------------------------------------
 

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from topomon.adversary import Adversary, AdversaryPolicy, SingleBehavior
 from topomon.protocol import Marker, NodeState, Send
 from topomon.topology import Role, Topology
@@ -189,6 +191,16 @@ def test_behavior_6_drops_relays_only_for_listed_monitors():
     assert d.handle_marker(1, Marker(1, 101, 2)) == []
     m = Marker(1, 102, 3)
     assert d.handle_marker(1, m) == [Send(2, 102, m)]
+
+
+@pytest.mark.parametrize("behavior", [0, 7, -1])
+def test_single_behavior_outside_1_to_6_is_rejected_at_construction(behavior):
+    with pytest.raises(ValueError, match=f"unknown behavior {behavior}"):
+        SingleBehavior(behavior)
+
+
+def test_single_behaviors_1_to_6_construct():
+    assert [SingleBehavior(b).behavior for b in range(1, 7)] == [1, 2, 3, 4, 5, 6]
 
 
 def test_single_modes_default_to_honest_elsewhere():

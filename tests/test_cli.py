@@ -148,3 +148,41 @@ def test_export_dot_to_file(tmp_path):
     assert rc == 0
     text = dest.read_text()
     assert text.startswith("digraph") and "->" in text
+
+
+def test_negative_settle_time_exits_2(capsys):
+    rc = main(["export-topology", "--nodes", "8", "--monitors", "1", "--settle-ms", "-5"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: run_until(-5)") and captured.err.count("\n") == 1
+
+
+def _assert_cannot_write(capsys, path):
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {path}") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_export_dest_that_cannot_be_written_exits_2(tmp_path, capsys):
+    export = ["export-topology", "--nodes", "8", "--monitors", "1", "--dest"]
+    for dest in (tmp_path / "missing" / "overlay.txt", tmp_path):
+        assert main(export + [str(dest)]) == 2
+        _assert_cannot_write(capsys, dest)
+
+
+def test_run_output_file_that_is_a_directory_exits_2(tmp_path, capsys):
+    for suffix in ("csv", "trace", "snapshots"):
+        out = tmp_path / suffix
+        (out / f"x.{suffix}").mkdir(parents=True)
+        rc = main(RUN_ARGS + ["--out", str(out), "--name", "x", "--trace", "--snapshots"])
+        assert rc == 2
+        _assert_cannot_write(capsys, out / f"x.{suffix}")
+
+
+def test_sweep_output_file_that_is_a_directory_exits_2(tmp_path, capsys):
+    (tmp_path / "sweep_raw.csv").mkdir()
+    rc = main(["sweep", "--nodes", "5", "--vars", "0", "--pcts", "0", "--repeats", "1",
+               "--out", str(tmp_path)])
+    assert rc == 2
+    _assert_cannot_write(capsys, tmp_path / "sweep_raw.csv")

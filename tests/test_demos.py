@@ -21,14 +21,24 @@ DEMOS = [
 ]
 
 
-@pytest.mark.parametrize("demo", DEMOS)
-def test_demo_runs(demo):
+def run_demo(demo: str) -> subprocess.CompletedProcess:
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "demos" / demo)],
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_runs(demo):
+    done = run_demo(demo)
     assert done.returncode == 0, done.stderr
+
+
+def test_walkthrough_round_takes_the_scan_period_from_5_to_3_s():
+    # node 1's row goes from empty to {2, 3}: two changes, so f drops by two
+    lines = run_demo("01_single_round_walkthrough.py").stdout.splitlines()
+    assert "scan frequency for node 1: 5 s -> 3 s, next round in 3000 ms" in lines

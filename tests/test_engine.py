@@ -60,6 +60,15 @@ def test_empty_run_advances_clock_only():
     assert eng.now == 600_000
 
 
+def test_clock_never_runs_backwards():
+    eng = make_engine()
+    eng.run_until(100)
+    with pytest.raises(ValueError):
+        eng.run_until(50)
+    assert eng.now == 100
+    assert eng.run_until(100) == 0  # the same time again is fine
+
+
 def test_probe_cadence_yields_twenty_probes():
     eng = make_engine()
     hits = []

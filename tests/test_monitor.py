@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -26,13 +27,16 @@ def monitor(nodes=(1, 2, 3, 4, 5), mode="poisson", mon_id=100) -> Monitor:
 
 
 def run_round(mon: Monitor, target: int, relays) -> int:
-    """One full round: returns the change count fed to adaptation."""
-    prior = mon.outbound_row(target)
-    m = mon.start_round(target, random.Random(0), 0)
+    """One full round: returns the change count close_round fed to adaptation."""
+    m = mon.start_round(target, random.Random(0))
     for p in relays:
         mon.receive_marker(p, m)
-    collected = mon.close_round(target)
-    return mon.update_topology(target, collected, prior)
+    with mock.patch.object(mon, "adjust_frequency", wraps=mon.adjust_frequency) as adjust:
+        mon.close_round(target, random.Random(0))
+    adjust.assert_called_once()
+    t, c = adjust.call_args.args
+    assert t == target
+    return c
 
 
 # -- rounds -------------------------------------------------------------------
@@ -41,9 +45,9 @@ def run_round(mon: Monitor, target: int, relays) -> int:
 def test_round_nonces_differ_between_rounds():
     mon = monitor()
     rng = random.Random(1)
-    m1 = mon.start_round(1, rng, 0)
-    mon.close_round(1)
-    m2 = mon.start_round(1, rng, 5000)
+    m1 = mon.start_round(1, rng)
+    mon.close_round(1, rng)
+    m2 = mon.start_round(1, rng)
     assert m1.value != m2.value
     assert m1.target == m2.target == 1
     assert m1.monitor == 100
@@ -51,42 +55,45 @@ def test_round_nonces_differ_between_rounds():
 
 def test_second_open_round_for_same_target_rejected():
     mon = monitor()
-    mon.start_round(1, random.Random(1), 0)
+    mon.start_round(1, random.Random(1))
     with pytest.raises(RoundAlreadyOpen):
-        mon.start_round(1, random.Random(2), 10)
+        mon.start_round(1, random.Random(2))
 
 
 def test_close_without_round_rejected():
     with pytest.raises(NoOpenRound):
-        monitor().close_round(1)
+        monitor().close_round(1, random.Random(1))
 
 
 def test_matching_relay_collected_and_edge_visible_immediately():
     mon = monitor()
-    m = mon.start_round(1, random.Random(1), 0)
+    m = mon.start_round(1, random.Random(1))
     assert mon.receive_marker(2, m) is True
     assert (1, 2) in mon.edges  # inserted at receipt, before close
-    assert mon.close_round(1) == frozenset({2})
+    mon.close_round(1, random.Random(1))
+    assert mon.outbound_row(1) == frozenset({2})
 
 
 def test_stale_nonce_wrong_monitor_and_self_answers_rejected():
     mon = monitor()
-    old = mon.start_round(1, random.Random(1), 0)
-    mon.close_round(1)
-    fresh = mon.start_round(1, random.Random(2), 2000)
+    old = mon.start_round(1, random.Random(1))
+    mon.close_round(1, random.Random(1))
+    fresh = mon.start_round(1, random.Random(2))
     assert mon.receive_marker(2, old) is False  # replayed previous nonce
     assert mon.receive_marker(2, Marker(1, 999, fresh.value)) is False
     assert mon.receive_marker(1, fresh) is False  # target vouching for itself
     assert mon.receive_marker(77, fresh) is False  # stranger to the view
-    assert mon.close_round(1) == frozenset()
+    mon.close_round(1, random.Random(1))
+    assert mon.outbound_row(1) == frozenset()
 
 
 def test_duplicate_relay_is_idempotent():
     mon = monitor()
-    m = mon.start_round(1, random.Random(1), 0)
+    m = mon.start_round(1, random.Random(1))
     mon.receive_marker(2, m)
     mon.receive_marker(2, m)
-    assert mon.close_round(1) == frozenset({2})
+    mon.close_round(1, random.Random(1))
+    assert mon.outbound_row(1) == frozenset({2})
 
 
 # -- view rewriting -----------------------------------------------------------
@@ -113,12 +120,11 @@ def test_change_count_from_empty_prior():
 
 def test_update_drops_vanished_nodes_from_row():
     mon = monitor()
-    m = mon.start_round(1, random.Random(1), 0)
+    m = mon.start_round(1, random.Random(1))
     mon.receive_marker(2, m)
     mon.node_departed(2)
-    collected = mon.close_round(1)
-    assert collected == frozenset({2})
-    mon.update_topology(1, collected, frozenset())
+    assert mon.rounds[1].collected == {2}
+    mon.close_round(1, random.Random(1))
     assert mon.outbound_row(1) == frozenset()
 
 
@@ -132,12 +138,45 @@ def test_departure_purges_edges_and_names_repair_targets():
     assert 3 not in mon.nodes and 3 not in mon.freq
 
 
+def test_departure_flags_open_rounds_and_returns_the_rest():
+    mon = monitor()
+    run_round(mon, 1, [2, 3])
+    run_round(mon, 4, [3])
+    mon.start_round(1, random.Random(1))
+    assert mon.node_departed(3) == [4]  # row 1 waits for its open round
+    assert mon.rounds[1].rescan is True
+    rng = random.Random(5)
+    state = rng.getstate()
+    _, delay = mon.close_round(1, rng)
+    assert delay == 0 and rng.getstate() == state  # repair at once, no draw
+    mon.start_round(1, random.Random(2))
+    assert mon.close_round(1, rng)[1] >= 1000  # the flag went with its round
+
+
 def test_departure_cancels_open_round():
     mon = monitor()
-    m = mon.start_round(1, random.Random(1), 0)
+    m = mon.start_round(1, random.Random(1))
     mon.node_departed(1)
     assert 1 not in mon.rounds
     assert mon.receive_marker(2, m) is False
+
+
+# -- round close ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("adaptive,freq", [(True, 3), (False, 5)])
+def test_close_returns_confirmations_and_delay_to_next_start(adaptive, freq):
+    mon = Monitor(100, mode="fixed", adaptive=adaptive)
+    for n in (1, 2, 3, 4):
+        mon.node_discovered(n)
+    mon.update_topology(4, frozenset({1}), frozenset())
+    m = mon.start_round(1, random.Random(1))
+    mon.receive_marker(2, m)
+    mon.receive_marker(3, m)
+    msg, delay = mon.close_round(1, random.Random(1))
+    assert msg.verified_peers == frozenset({2, 3, 4})
+    assert mon.freq[1] == freq  # two changes take f_init 5 down to 3
+    assert delay == 1000 * freq
 
 
 # -- frequency adaptation -------------------------------------------------------
@@ -183,8 +222,8 @@ def test_poisson_mode_delay_clamped_and_centered():
 
 def test_verified_message_joins_outbound_row_and_inbound_edges():
     mon = monitor()
-    mon.update_topology(1, frozenset({2}))
-    mon.update_topology(3, frozenset({1}))
+    mon.update_topology(1, frozenset({2}), mon.outbound_row(1))
+    mon.update_topology(3, frozenset({1}), mon.outbound_row(3))
     assert mon.build_verified_message(1).verified_peers == frozenset({2, 3})
 
 
@@ -210,7 +249,7 @@ def views_with_edge_counts(gamma: int, confirmations: int):
         v.node_discovered(1)
         v.node_discovered(2)
         if i < confirmations:
-            v.update_topology(1, frozenset({2}))
+            v.update_topology(1, frozenset({2}), v.outbound_row(1))
         views.append(v)
     return views
 
@@ -244,7 +283,7 @@ def test_adding_a_confirming_view_never_removes_edges():
     extra = Monitor(999)
     extra.node_discovered(1)
     extra.node_discovered(2)
-    extra.update_topology(1, frozenset({2}))
+    extra.update_topology(1, frozenset({2}), extra.outbound_row(1))
     grown = compute_global_snapshot(base + [extra])
     assert compute_global_snapshot(base).edges <= grown.edges
 

@@ -1,12 +1,14 @@
 """The per-node monitor view agrees with a flat (a, b) edge-set model under
-random sequences of discoveries, departures, rounds and row rewrites."""
+random sequences of discoveries, departures, rounds and row rewrites, and
+a departure's repairs run at once or, for a row with an open round, when
+that round closes."""
 from __future__ import annotations
 
 import random
 
 from hypothesis import settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from topomon.monitor import Monitor
 
@@ -39,15 +41,23 @@ class FlatView:
         return self.row(t) | {a for a, b in self.edges if b == t}
 
 
+def adapted(f: int, c: int) -> int:
+    """Scan frequency after a round with c changes, at f_min 1 and f_max 10."""
+    if c == 0:
+        return min(f + 1, 10)
+    return f if c == 1 else max(1, f - c)
+
+
 class MonitorViewMachine(RuleBasedStateMachine):
     def __init__(self) -> None:
         super().__init__()
         self.mon = Monitor(MON_ID)
         self.model = FlatView()
         self.rng = random.Random(0)
-        self.now = 0
         self.markers = []  # every marker issued, so stale ones get replayed
-        self.priors: dict[int, frozenset[int]] = {}
+        self.priors: dict[int, frozenset[int]] = {}  # one per open round
+        self.collected: dict[int, set[int]] = {}
+        self.flagged: set[int] = set()  # open rounds a departure asked to repair
 
     @rule(n=IDS)
     def discover(self, n):
@@ -56,46 +66,68 @@ class MonitorViewMachine(RuleBasedStateMachine):
 
     @rule(n=IDS)
     def depart(self, n):
-        assert self.mon.node_departed(n) == self.model.departed(n)
         self.priors.pop(n, None)
+        self.collected.pop(n, None)
+        self.flagged.discard(n)
+        repair = self.model.departed(n)
+        assert self.mon.node_departed(n) == [a for a in repair if a not in self.priors]
+        self.flagged.update(a for a in repair if a in self.priors)
 
-    @rule(t=IDS)
-    def start_round(self, t):
-        if t not in self.mon.nodes or t in self.mon.rounds:
-            return
-        self.now += 1
-        self.markers.append(self.mon.start_round(t, self.rng, self.now))
+    def edges_under_scan(self) -> list[tuple[int, int]]:
+        return sorted((t, p) for t, p in self.model.edges if t in self.priors and p != t)
+
+    @precondition(edges_under_scan)
+    @rule(data=st.data())
+    def depart_from_row_under_scan_then_close(self, data):
+        t, p = data.draw(st.sampled_from(self.edges_under_scan()))
+        self.depart(p)
+        self.close(t)
+
+    @precondition(lambda self: self.mon.nodes - self.mon.rounds.keys())
+    @rule(data=st.data())
+    def start_round(self, data):
+        t = data.draw(st.sampled_from(sorted(self.mon.nodes - self.mon.rounds.keys())))
+        self.markers.append(self.mon.start_round(t, self.rng))
         self.priors[t] = self.model.row(t)
+        self.collected[t] = set()
 
     @rule(sender=SENDERS, pick=st.integers(0, 1 << 16))
     def relay(self, sender, pick):
         if not self.markers:
             return
-        m = self.markers[pick % len(self.markers)]
+        m = self.markers[-1 - pick % len(self.markers)]  # small picks: recent markers
         rnd = self.mon.rounds.get(m.target)
         live = rnd is not None and rnd.value == m.value
         want = live and sender not in (m.target, MON_ID) and sender in self.model.nodes
         assert self.mon.receive_marker(sender, m) is want
         if want:
             self.model.edges.add((m.target, sender))
+            self.collected[m.target].add(sender)
 
-    @rule(t=IDS)
-    def close_round(self, t):
-        if t not in self.mon.rounds:
-            return
+    @precondition(lambda self: self.mon.rounds)
+    @rule(data=st.data())
+    def close_round(self, data):
+        self.close(data.draw(st.sampled_from(sorted(self.mon.rounds))))
+
+    def close(self, t):
         prior = self.mon.rounds[t].prior_row
         assert prior == self.priors.pop(t)
-        collected = self.mon.close_round(t)
-        c = self.mon.update_topology(t, collected, prior)
+        collected = frozenset(self.collected.pop(t))
+        f = self.mon.freq[t]
+        _, delay = self.mon.close_round(t, self.rng)
         self.model.update(t, collected)
-        assert c == len(prior ^ collected)
+        c = len(prior ^ collected)
+        assert self.mon.freq[t] == adapted(f, c)
+        # a repair flag means scan again at once; otherwise at least f_min s
+        assert (delay == 0) is (t in self.flagged)
+        self.flagged.discard(t)
 
     @rule(t=IDS, collected=st.frozensets(IDS))
     def update_topology(self, t, collected):
         if t not in self.mon.nodes:
             return
         prior = self.model.row(t)
-        c = self.mon.update_topology(t, collected)
+        c = self.mon.update_topology(t, collected, self.mon.outbound_row(t))
         self.model.update(t, collected)
         assert c == len(prior ^ collected)
 

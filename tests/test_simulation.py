@@ -10,11 +10,13 @@ import sys
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from topomon.adversary import Adversary, SingleBehavior
 from topomon.engine import POISSON_MAX_MEAN, sample_poisson, substream
 from topomon.monitor import SCHEDULING_MODES
 from topomon.simulation import ConfigInvalid, ExperimentConfig, World
+from topomon.topology import NodeAdded, Role
 
 
 def small(**kw) -> ExperimentConfig:
@@ -288,3 +290,86 @@ def test_one_live_round_entry_per_monitor_and_live_target(cfg, steps):
                 assert kind is not None and fire_at > now  # neither cancelled nor fired
                 assert (kind == "round_timeout") == (t in mon.rounds)
         assert w.topo.audit() == []
+
+
+class WorldMachine(RuleBasedStateMachine):
+    """A small world whose engine runs in drawn steps while churn, edge
+    changes and conversions to colluders are applied between them."""
+
+    @initialize(cfg=worlds)
+    def build(self, cfg):
+        self.w = World(cfg)
+        self.now = 0
+
+    @rule(step=st.integers(1, 6_000))
+    def advance(self, step):
+        self.w.engine.run_until(self.w.engine.now + step)
+
+    @rule(target_population=st.integers(1, 8))
+    def join_or_leave(self, target_population):
+        # what `_on_churn` does, without scheduling more churn
+        w = self.w
+        ev = w.topo.churn_tick(target_population, w.cfg.malicious_pct, w.engine.rng_churn)
+        if isinstance(ev, NodeAdded):
+            w._node_joined(ev)
+        else:
+            w._node_left(ev)
+
+    @rule(data=st.data())
+    def close_edge(self, data):
+        edges = sorted(self.w.topo.peer_edges())
+        if edges:
+            self.w.close_edge(*data.draw(st.sampled_from(edges)))
+
+    @rule(data=st.data())
+    def open_edge(self, data):
+        topo = self.w.topo
+        pairs = [(a, b) for a in topo.peers_alive() for b in topo.eligible_targets(a)]
+        if pairs:
+            self.w.open_edge(*data.draw(st.sampled_from(pairs)))
+
+    @rule(data=st.data())
+    def convert(self, data):
+        w = self.w
+        honest = [n for n in w.topo.peers_alive() if w.topo.roles[n] is Role.HONEST]
+        if not honest:
+            return
+        someone = st.none() | st.sampled_from(w.topo.peers_alive())
+        single = st.none() | st.builds(
+            SingleBehavior,
+            behavior=st.integers(1, 6),
+            victim=someone,
+            relay_via=someone,
+            drop_for=st.frozensets(st.sampled_from(sorted(w.monitors))),
+        )
+        w.convert_to_malicious(data.draw(st.sampled_from(honest)), data.draw(single))
+
+    @invariant()
+    def world_is_consistent(self):
+        w, topo = self.w, self.w.topo
+        assert w.engine.now >= self.now
+        self.now = w.engine.now
+        assert topo.audit() == []
+        live = topo.peers_alive()
+        assert list(w.nodes) == live
+        for n, handler in w.nodes.items():
+            state = handler.state if isinstance(handler, Adversary) else handler
+            assert state.outbound is topo.out[n]
+            assert state.inbound is topo.inb[n]
+            assert state.banned is topo.banned[n]
+        for mid, mon in w.monitors.items():
+            assert mon.nodes == set(live)
+            for rows in (mon.out, mon.inb):
+                assert rows.keys() <= mon.nodes
+                assert all(row <= mon.nodes for row in rows.values())
+            assert {k for k in w.pending if k[0] == mid} == {(mid, t) for t in live}
+            for t in live:
+                fire_at, _, kind, _ = w.pending[(mid, t)]
+                assert fire_at >= self.now  # a join schedules its first scan at delay 0
+                assert kind == ("round_timeout" if t in mon.rounds else "round_start")
+
+
+WorldMachine.TestCase.settings = settings(
+    max_examples=100, stateful_step_count=30, deadline=None
+)
+test_world_under_churn_edges_and_conversions = WorldMachine.TestCase
