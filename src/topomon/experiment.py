@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import itertools
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import IO, Callable, Iterable, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from .metrics import ConfusionCounts, precision, recall
 from .simulation import ExperimentConfig, ProbeSample, World
@@ -124,6 +125,23 @@ class SweepReport:
         return not self.failures
 
 
+@contextmanager
+def process_pool(fn: Callable, items: Sequence) -> Iterator[list]:
+    """Yield one future of `fn(item)` per item, in item order, from a fresh
+    pool with one worker per available core; `items` must not be empty. If
+    the block raises, the calls not yet started are dropped. No worker
+    process outlives the block."""
+    import concurrent.futures  # imported here: ~2 MB that only pools need
+
+    workers = min(len(os.sched_getaffinity(0)), len(items))
+    with concurrent.futures.ProcessPoolExecutor(workers) as pool:
+        try:
+            yield [pool.submit(fn, item) for item in items]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)  # `with` then joins the calls in flight
+            raise
+
+
 def _run_one(cfg: ExperimentConfig) -> RunReport:
     # The pool's entry point. It is module-level so that it pickles by name,
     # and it looks `run_experiment` up at call time, so a wrapper set on the
@@ -147,14 +165,12 @@ def run_sweep(
     be reproduced from the sweep invocation alone.  A run that raises is
     recorded under `failures` and the sweep moves on.
 
-    The runs are independent, so they are all submitted at once to a process
-    pool with one worker per available core; results are read back in grid
-    order, so every report field, file byte and `progress` message is the
-    same as one core would give. The pool lives only inside this call: when
-    it returns or raises, no worker process is left.
+    The runs are independent, so they are all submitted at once through
+    `process_pool`; results are read back in grid order, so every report
+    field, file byte and `progress` message is the same as one core would
+    give. When this call returns or raises, no worker process is left.
     """
-    # imported here: the pool machinery costs ~2 MB that only sweeps need
-    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+    from concurrent.futures import BrokenExecutor  # lazy, as in `process_pool`
 
     if repeats < 1 or not variabilities or not percentages:
         raise EmptySweep(
@@ -171,46 +187,31 @@ def run_sweep(
     report = SweepReport()
     if raw is not None:
         raw.write(CSV_HEADER + "\n")
-    with ProcessPoolExecutor(min(len(os.sched_getaffinity(0)), len(configs))) as pool:
-        try:
-            pending = zip(configs, [pool.submit(_run_one, cfg) for cfg in configs])
-            for var, pct in cells:
-                cell = ConfusionCounts(0, 0, 0)
-                done = 0
-                for cfg, future in itertools.islice(pending, repeats):
-                    if progress is not None:
-                        progress(f"var={_num(var)} mal={_num(pct)}% seed={cfg.seed}")
-                    try:
-                        run = future.result()
-                    except BrokenExecutor:
-                        raise  # the pool itself failed, not this run
-                    except Exception as exc:  # keep sweeping, report at the end
-                        report.failures.append((cfg, exc))
-                        continue
-                    report.runs.append(run)
-                    done += 1
-                    cell = cell + run.totals
-                    if raw is not None:
-                        last = run.samples[-1].time_ms if run.samples else 0
-                        raw.write(_row(cfg, last, run.totals) + "\n")
-                report.cells.append(CellSummary(var, pct, cell, done))
-        except BaseException:
-            # drop the runs not yet started; the `with` exit then waits only
-            # for the ones in flight and joins every worker
-            pool.shutdown(cancel_futures=True)
-            raise
+    with process_pool(_run_one, configs) as futures:
+        pending = zip(configs, futures)
+        for var, pct in cells:
+            cell = ConfusionCounts(0, 0, 0)
+            done = 0
+            for cfg, future in itertools.islice(pending, repeats):
+                if progress is not None:
+                    progress(f"var={_num(var)} mal={_num(pct)}% seed={cfg.seed}")
+                try:
+                    run = future.result()
+                except BrokenExecutor:
+                    raise  # the pool itself failed, not this run
+                except Exception as exc:  # keep sweeping, report at the end
+                    report.failures.append((cfg, exc))
+                    continue
+                report.runs.append(run)
+                done += 1
+                cell = cell + run.totals
+                if raw is not None:
+                    last = run.samples[-1].time_ms if run.samples else 0
+                    raw.write(_row(cfg, last, run.totals) + "\n")
+            report.cells.append(CellSummary(var, pct, cell, done))
     if summary is not None:
         summary.write(SUMMARY_HEADER + "\n")
         for c in report.cells:
-            summary.write(
-                ",".join(
-                    (
-                        _num(c.variability_s),
-                        _num(c.malicious_pct),
-                        _pct(c.precision),
-                        _pct(c.recall),
-                    )
-                )
-                + "\n"
-            )
+            cols = (_num(c.variability_s), _num(c.malicious_pct), _pct(c.precision), _pct(c.recall))
+            summary.write(",".join(cols) + "\n")
     return report

@@ -9,9 +9,9 @@ Reputation is a per-peer tally of monitor confirmations. A peer is cut
 loose once at most half the monitors still vouch for it, but never before
 every monitor has reported safe_rounds times for that peer.
 
-A node's `outbound`, `inbound` and `banned` sets are its rows of the
-ground-truth `Topology`, shared by reference; the node owns only its
-reputation tables. Honest and malicious nodes answer through the same two
+A node's `outbound` and `inbound` sets are its rows of the ground-truth
+`Topology`, shared by reference; the node owns only one reputation record
+per reported peer. Honest and malicious nodes answer through the same two
 calls: `handle_marker` returns `Send`s, `handle_verified` `Disconnect`s.
 """
 from __future__ import annotations
@@ -58,27 +58,24 @@ class NodeState:
         *,
         outbound: AbstractSet[int] = frozenset(),
         inbound: AbstractSet[int] = frozenset(),
-        banned: AbstractSet[int] = frozenset(),
     ) -> None:
         self.id = node_id
         self.monitors = frozenset(monitors)
         self.safe_rounds = safe_rounds
         # the node's Topology rows, held by reference and only ever read here
-        self.outbound, self.inbound, self.banned = outbound, inbound, banned
-        # per (peer, monitor): latest confirmation bit and reports received;
-        # a missing entry reads as a fresh peer: vouched for, 0 reports
-        self.status: dict[tuple[int, int], int] = {}
-        self.rounds_seen: dict[tuple[int, int], int] = {}
+        self.outbound, self.inbound = outbound, inbound
+        # peer -> [monitors short of safe_rounds reports, monitors not vouching,
+        # {monitor: [latest bit, reports]}]; a peer or monitor with no entry
+        # has not been reported yet: vouched for, 0 reports
+        self.tallies: dict[int, list] = {}
 
     def peers(self) -> set[int]:
         return self.outbound | self.inbound
 
     def forget(self, peer: int) -> None:
-        """Drop the peer's tallies once its edge closes; a later edge to
-        it starts fresh."""
-        for m in self.monitors:
-            self.status.pop((peer, m), None)
-            self.rounds_seen.pop((peer, m), None)
+        """Drop the peer's record once its edge closes; a later edge to it
+        starts fresh."""
+        self.tallies.pop(peer, None)
 
     # -- marker relay --------------------------------------------------------
 
@@ -92,36 +89,35 @@ class NodeState:
     # -- reputation ----------------------------------------------------------
 
     def reputation(self, peer: int) -> int:
-        status = self.status
-        return sum(status.get((peer, m), 1) for m in self.monitors)
+        rec = self.tallies.get(peer)
+        return len(self.monitors) - (rec[1] if rec else 0)
 
     def check_reputation(self, peer: int) -> bool:
-        """True when the peer must be disconnected."""
+        """True when the peer must be disconnected: every monitor has
+        reported safe_rounds times, and at most half vouch."""
         if peer not in self.outbound and peer not in self.inbound:
             raise UnknownPeer(str(peer))
-        return self._must_disconnect(peer)
-
-    def _must_disconnect(self, peer: int) -> bool:
-        # every monitor has reported safe_rounds times, and at most half vouch
-        status, seen, safe = self.status, self.rounds_seen, self.safe_rounds
-        vouches = 0
-        for m in self.monitors:
-            key = (peer, m)
-            if seen.get(key, 0) < safe:
-                return False
-            vouches += status.get(key, 1)
-        return 2 * vouches <= len(self.monitors)
+        rec = self.tallies.get(peer)
+        return rec is not None and rec[0] == 0 and 2 * rec[1] >= len(self.monitors)
 
     def handle_verified(self, from_monitor: int, v: VerifiedMsg) -> list[Disconnect]:
         if from_monitor not in self.monitors:
             return []  # unknown sender, dropped
-        status, seen, verified = self.status, self.rounds_seen, v.verified_peers
+        tallies, safe, verified = self.tallies, self.safe_rounds, v.verified_peers
+        n = len(self.monitors)
         cut = []
-        # a report for p touches only p's tallies, so p is judged right away
+        # a report for p touches only p's record, so p is judged right away
         for p in sorted(self.outbound | self.inbound):
-            key = (p, from_monitor)
-            status[key] = 1 if p in verified else 0
-            seen[key] = seen.get(key, 0) + 1
-            if self._must_disconnect(p):
+            rec = tallies.get(p)
+            if rec is None:
+                rec = tallies[p] = [n if safe else 0, 0, {}]
+            slot = rec[2].setdefault(from_monitor, [1, 0])
+            bit = 1 if p in verified else 0
+            rec[1] += slot[0] - bit
+            slot[0] = bit
+            slot[1] += 1
+            if slot[1] == safe:
+                rec[0] -= 1
+            if rec[0] == 0 and 2 * rec[1] >= n:
                 cut.append(Disconnect(p))
         return cut

@@ -191,7 +191,6 @@ class World:
             self.cfg.safe_rounds,
             outbound=topo.out[nid],
             inbound=topo.inb[nid],
-            banned=topo.banned[nid],
         )
         self.nodes[nid] = state if ev.role is Role.HONEST else Adversary(state, self.policy)
         self.engine.trace("join", nid, "-", ev.role.value)

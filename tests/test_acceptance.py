@@ -3,19 +3,21 @@
 Run as a module (`python3 tests/test_acceptance.py`) for the bare report, or
 under pytest where each criterion is its own test.  Tolerances are stated
 inline next to each check.
+
+Batches of worlds run in worker processes through `experiment.process_pool`.
+Every trial is still drawn here, in order, from its criterion's fixed random
+stream; a worker only rebuilds the world from those draws and runs it.
 """
 from __future__ import annotations
 
 import itertools
-import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from io import StringIO
 
 from topomon.adversary import SingleBehavior
-from topomon.experiment import run_experiment
+from topomon.experiment import process_pool, run_experiment
 from topomon.metrics import (
     ConfusionCounts,
     audit_overhead,
@@ -57,8 +59,8 @@ def prefetch_cells(cells) -> None:
     ]
     if not configs:
         return
-    with ProcessPoolExecutor(min(len(os.sched_getaffinity(0)), len(configs))) as pool:
-        runs = list(pool.map(_timed_run, configs))
+    with process_pool(_timed_run, configs) as futures:
+        runs = [f.result() for f in futures]
     for k, cell in enumerate(todo):
         mine = runs[k * SEEDS : (k + 1) * SEEDS]
         total = sum((counts for counts, _ in mine), ConfusionCounts(0, 0, 0))
@@ -119,11 +121,34 @@ def test_criterion_2_adversarial_accuracy():
     )
 
 
+def _node_ids(cfg: ExperimentConfig) -> range:
+    """Ids of a fresh world's nodes: its monitors are numbered first."""
+    return range(cfg.monitors, cfg.monitors + cfg.nodes)
+
+
+def _converted_world(cfg: ExperimentConfig, mole: int, single: SingleBehavior) -> World:
+    """Rebuild a trial's world in a worker, convert its mole, run it."""
+    world = World(cfg)
+    assert list(world.nodes) == list(_node_ids(cfg))  # the ids the mole was drawn from
+    world.convert_to_malicious(mole, single)
+    world.run()
+    return world
+
+
+def _exactness_trial(cfg: ExperimentConfig) -> bool:
+    """True when every view of a static honest world is exact."""
+    world = World(cfg)
+    world.run()
+    truth = world.topo.peer_edges()
+    exact = all((s.tp, s.fp, s.fn) == (len(truth), 0, 0) for s in world.probes)
+    locals_exact = all(m.edges == truth for m in world.monitors.values())
+    return exact and locals_exact and world.global_snapshot().edges == truth
+
+
 def test_criterion_3_static_honest_exactness():
     rng = random.Random(0xACC3)
-    bad = 0
-    for trial in range(1000):
-        cfg = ExperimentConfig(
+    trials = [
+        ExperimentConfig(
             nodes=rng.randint(5, 50),
             monitors=rng.randint(1, 5),
             variability_s=0.0,
@@ -134,13 +159,11 @@ def test_criterion_3_static_honest_exactness():
             adaptive=False,
             seed=trial,
         )
-        world = World(cfg)
-        samples = world.run()
-        truth = world.topo.peer_edges()
-        exact = all((s.tp, s.fp, s.fn) == (len(truth), 0, 0) for s in samples)
-        locals_exact = all(m.edges == truth for m in world.monitors.values())
-        if not exact or not locals_exact or world.global_snapshot().edges != truth:
-            bad += 1
+        for trial in range(1000)
+    ]
+    with process_pool(_exactness_trial, trials) as futures:
+        bad = sum(not f.result() for f in futures)
+    assert len(futures) == 1000
     report(
         3,
         "static honest overlays: every monitor's local view exact "
@@ -150,7 +173,8 @@ def test_criterion_3_static_honest_exactness():
     )
 
 
-def _misdirection_world(rng: random.Random, behavior: int):
+def _misdirection_trial(rng: random.Random, behavior: int):
+    """Draw one trial, (config, mole, misbehavior), from the criterion's stream."""
     cfg = ExperimentConfig(
         nodes=rng.randint(8, 16),
         monitors=rng.randint(2, 4),
@@ -162,8 +186,8 @@ def _misdirection_world(rng: random.Random, behavior: int):
         adaptive=False,
         seed=rng.getrandbits(30),
     )
-    world = World(cfg)
     if behavior == 2:
+        world = World(cfg)  # bootstrapped only, to list the non-peer pairs
         pairs = [
             (m, n)
             for m in sorted(world.nodes)
@@ -171,27 +195,37 @@ def _misdirection_world(rng: random.Random, behavior: int):
             if n != m and n not in world.nodes[m].peers()
         ]
         mole, victim = rng.choice(pairs)
-        world.convert_to_malicious(mole, SingleBehavior(2, victim=victim))
-    else:
-        mole = rng.choice(sorted(world.nodes))
-        world.convert_to_malicious(mole, SingleBehavior(behavior))
-    return world
+        return cfg, mole, SingleBehavior(2, victim=victim)
+    return cfg, rng.choice(_node_ids(cfg)), SingleBehavior(behavior)
+
+
+def _misdirection_rows(trial) -> tuple[int, int]:
+    """(spurious row entries, rows examined) of one misdirection trial."""
+    world = _converted_world(*trial)
+    violations = examined = 0
+    for mon in world.monitors.values():
+        for target in list(mon.nodes):
+            if target not in world.topo.out:
+                continue
+            row = mon.outbound_row(target)
+            examined += 1
+            if not row <= set(world.topo.out[target]):
+                violations += 1
+    return violations, examined
+
+
+# rows the serial version of criterion 4 examined over its 3000 trials
+CRITERION_4_ROWS = 106_553
 
 
 def test_criterion_4_misdirection_never_verifies_wrong_peers():
     rng = random.Random(0xACC4)
-    violations = 0
-    for behavior in (1, 2, 3):
-        for _ in range(1000):
-            world = _misdirection_world(rng, behavior)
-            world.run()
-            for mon in world.monitors.values():
-                for target in list(mon.nodes):
-                    if target not in world.topo.out:
-                        continue
-                    row = mon.outbound_row(target)
-                    if not row <= set(world.topo.out[target]):
-                        violations += 1
+    trials = [_misdirection_trial(rng, behavior) for behavior in (1, 2, 3) for _ in range(1000)]
+    with process_pool(_misdirection_rows, trials) as futures:
+        counts = [f.result() for f in futures]
+    violations = sum(v for v, _ in counts)
+    assert len(counts) == 3000
+    assert sum(rows for _, rows in counts) == CRITERION_4_ROWS
     report(
         4,
         "probe misdirection, leaks, and nonce replay never verify a wrong peer "
@@ -201,9 +235,15 @@ def test_criterion_4_misdirection_never_verifies_wrong_peers():
     )
 
 
+def _enforcement_trial(trial) -> bool:
+    """True when the run's agreed view equals ground truth."""
+    world = _converted_world(*trial)
+    return world.global_snapshot().edges == world.topo.peer_edges()
+
+
 def test_criterion_5_enforcement_restores_global_equivalence():
     rng = random.Random(0xACC5)
-    mismatches = 0
+    trials = []
     for trial in range(1000):
         monitors = rng.randint(3, 5)
         cfg = ExperimentConfig(
@@ -217,18 +257,17 @@ def test_criterion_5_enforcement_restores_global_equivalence():
             adaptive=False,
             seed=trial,
         )
-        world = World(cfg)
-        mole = rng.choice(sorted(world.nodes))
+        mole = rng.choice(_node_ids(cfg))
         if rng.random() < 0.5:
-            world.convert_to_malicious(mole, SingleBehavior(5))
+            trials.append((cfg, mole, SingleBehavior(5)))
         else:
             drop = frozenset(
                 rng.sample(range(monitors), rng.randint(0, monitors))
             )
-            world.convert_to_malicious(mole, SingleBehavior(6, drop_for=drop))
-        world.run()
-        if world.global_snapshot().edges != world.topo.peer_edges():
-            mismatches += 1
+            trials.append((cfg, mole, SingleBehavior(6, drop_for=drop)))
+    with process_pool(_enforcement_trial, trials) as futures:
+        mismatches = sum(not f.result() for f in futures)
+    assert len(futures) == 1000
     report(
         5,
         "after the safe period the agreed view equals ground truth, "
@@ -290,7 +329,8 @@ def _window_trial(seed: int) -> int | None:
 
 
 def test_criterion_6_detection_within_majority_refresh_window():
-    lags = [_window_trial(s) for s in range(100)]
+    with process_pool(_window_trial, range(100)) as futures:
+        lags = [f.result() for f in futures]
     bound_ms = 1_000 * max_error_window([1, 5, 5, 10]) + 1_000  # window + round
     worst = max((lag for lag in lags if lag is not None), default=None)
     empirically_ok = all(lag is not None and lag <= bound_ms for lag in lags)

@@ -38,9 +38,7 @@ def colluder(policy, nid, out=(), inb=(), single=None) -> Adversary:
     join(topo, nid)
     topo.roles[nid] = Role.MALICIOUS
     wire(topo, nid, out, inb)
-    st = NodeState(
-        nid, MONITORS, outbound=topo.out[nid], inbound=topo.inb[nid], banned=topo.banned[nid]
-    )
+    st = NodeState(nid, MONITORS, outbound=topo.out[nid], inbound=topo.inb[nid])
     return Adversary(st, policy, single)
 
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 import io
 import multiprocessing
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -164,3 +166,14 @@ def test_dead_worker_breaks_the_sweep_and_leaves_no_worker(monkeypatch):
     with pytest.raises(BrokenProcessPool):
         run_sweep([0.0], [0, 20], 2, base=tiny())
     assert multiprocessing.active_children() == []
+
+
+def test_importing_the_harness_loads_no_pool_machinery():
+    # every run would pay the pool modules' resident memory; only
+    # `process_pool` may import them, and only when it is called
+    code = (
+        "import sys, topomon.cli, topomon.experiment; "
+        "print([m for m in sys.modules if m.startswith('concurrent')])"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -69,9 +69,13 @@ def test_relay_never_invents_monitors(sender, target, monitor):
 # -- reputation --------------------------------------------------------------
 
 
-def age_past_safe_period(n: NodeState, peer: int) -> None:
-    for m in n.monitors:
-        n.rounds_seen[(peer, m)] = n.safe_rounds
+def report_all(n: NodeState, peer: int, vouching=()) -> None:
+    """Every monitor reports `peer` safe_rounds times; those in `vouching`
+    confirm it each time, the others never do."""
+    for m in sorted(n.monitors):
+        msg = VerifiedMsg(frozenset({peer} if m in vouching else ()))
+        for _ in range(n.safe_rounds):
+            n.handle_verified(m, msg)
 
 
 def test_initial_reputation_is_full():
@@ -97,21 +101,22 @@ def test_initial_reputation_is_full():
 def test_majority_threshold_table(gamma, phi, expect_drop):
     monitors = set(range(200, 200 + gamma))
     n = node(monitors=monitors, out=(7,))
-    age_past_safe_period(n, 7)
-    for i, m in enumerate(sorted(monitors)):
-        n.status[(7, m)] = 1 if i < phi else 0
+    report_all(n, 7, vouching=sorted(monitors)[:phi])
     assert n.check_reputation(7) is expect_drop
 
 
 def test_safe_period_blocks_disconnect_until_every_monitor_reports():
     n = node(out=(7,))
-    for m in n.monitors:
-        n.status[(7, m)] = 0
-    assert n.check_reputation(7) is False
-    for m in list(n.monitors)[:3]:
-        n.rounds_seen[(7, m)] = 3
+    absent = VerifiedMsg(frozenset())
+    for m in sorted(n.monitors):
+        n.handle_verified(m, absent)
+    assert n.check_reputation(7) is False  # nobody vouches, 1 of 3 reports each
+    for m in (100, 101, 102):
+        for _ in range(2):
+            n.handle_verified(m, absent)
     assert n.check_reputation(7) is False  # one monitor still short
-    age_past_safe_period(n, 7)
+    for _ in range(2):
+        n.handle_verified(103, absent)
     assert n.check_reputation(7) is True
 
 
@@ -124,11 +129,11 @@ def test_check_reputation_rejects_strangers():
 def test_handle_verified_updates_statuses_and_counts():
     n = node(nid=1, out=(7, 8), inb=(9,))
     n.handle_verified(100, VerifiedMsg(frozenset({7, 9})))
-    assert n.status[(7, 100)] == 1
-    assert n.status[(8, 100)] == 0
-    assert n.status[(9, 100)] == 1
-    assert n.rounds_seen[(8, 100)] == 1
-    assert n.rounds_seen.get((8, 101), 0) == 0  # 101 has not reported
+    # per peer: [monitors short of safe_rounds, refusals, {monitor: [bit, reports]}]
+    assert n.tallies[7] == [4, 0, {100: [1, 1]}]
+    assert n.tallies[8] == [4, 1, {100: [0, 1]}]  # 101 has not reported
+    assert n.tallies[9] == [4, 0, {100: [1, 1]}]
+    assert [n.reputation(p) for p in (7, 8, 9)] == [4, 3, 4]
 
 
 def test_handle_verified_disconnects_after_majority_loss():
@@ -146,17 +151,19 @@ def test_handle_verified_disconnects_after_majority_loss():
 def test_verified_from_unknown_sender_is_ignored():
     n = node(nid=1, out=(7,))
     assert n.handle_verified(999, VerifiedMsg(frozenset())) == []
-    assert n.rounds_seen.get((7, 100), 0) == 0
+    assert n.tallies == {}
 
 
 def test_fresh_connection_resets_safe_period():
     n = node(nid=1, out=(7,))
-    age_past_safe_period(n, 7)
+    report_all(n, 7)
+    assert n.check_reputation(7) is True
     n.outbound.discard(7)  # the edge closes ...
     n.forget(7)
     n.outbound.add(7)  # ... and a new one opens
-    assert n.rounds_seen.get((7, 100), 0) == 0
+    assert 7 not in n.tallies
     assert n.reputation(7) == 4
+    assert n.check_reputation(7) is False
 
 
 def test_topology_ban_shows_through_and_forget_purges():
@@ -166,17 +173,15 @@ def test_topology_ban_shows_through_and_forget_purges():
         topo.out[nid], topo.inb[nid], topo.banned[nid] = set(), set(), set()
     topo.open_connection(1, 7)
     topo.open_connection(8, 1)
-    n = NodeState(
-        1, MONITORS, outbound=topo.out[1], inbound=topo.inb[1], banned=topo.banned[1]
-    )
+    n = NodeState(1, MONITORS, outbound=topo.out[1], inbound=topo.inb[1])
     n.handle_verified(100, VerifiedMsg(frozenset({7, 8})))
-    assert (7, 100) in n.status
+    assert 7 in n.tallies
     topo.close_connection(1, 7)
     topo.ban(1, 7)
     n.forget(7)
-    assert 7 in n.banned
+    assert 7 in topo.banned[1]
     assert 7 not in n.peers()
-    assert all(p != 7 for p, _ in n.status)
+    assert 7 not in n.tallies and 8 in n.tallies
 
 
 @given(
@@ -187,9 +192,68 @@ def test_topology_ban_shows_through_and_forget_purges():
 def test_reputation_bounds_and_rule(gamma, bits):
     monitors = set(range(300, 300 + gamma))
     n = node(monitors=monitors, out=(7,))
-    age_past_safe_period(n, 7)
-    for m, b in zip(sorted(monitors), bits):
-        n.status[(7, m)] = b
+    report_all(n, 7, vouching=[m for m, b in zip(sorted(monitors), bits) if b])
     phi = n.reputation(7)
     assert 0 <= phi <= gamma
     assert n.check_reputation(7) is (2 * phi <= gamma)
+
+
+class PerMonitorRule:
+    """The reputation rule as first stated: a latest bit and a report count
+    per (peer, monitor), and every decision walks all the monitors."""
+
+    def __init__(self, monitors, safe_rounds):
+        self.monitors, self.safe = frozenset(monitors), safe_rounds
+        self.status, self.seen = {}, {}
+
+    def reputation(self, p):
+        return sum(self.status.get((p, m), 1) for m in self.monitors)
+
+    def must_disconnect(self, p):
+        if any(self.seen.get((p, m), 0) < self.safe for m in self.monitors):
+            return False
+        return 2 * self.reputation(p) <= len(self.monitors)
+
+    def handle_verified(self, m, peers, verified):
+        if m not in self.monitors:
+            return []
+        cut = []
+        for p in sorted(peers):
+            self.status[(p, m)] = int(p in verified)
+            self.seen[(p, m)] = self.seen.get((p, m), 0) + 1
+            if self.must_disconnect(p):
+                cut.append(Disconnect(p))
+        return cut
+
+    def forget(self, p):
+        for m in self.monitors:
+            self.status.pop((p, m), None)
+            self.seen.pop((p, m), None)
+
+
+PEERS = (5, 6, 7)
+reputation_ops = st.lists(
+    st.one_of(
+        # a report from monitor index 0..7: indices past gamma are unknown senders
+        st.tuples(st.just("report"), st.integers(0, 7), st.frozensets(st.sampled_from(PEERS))),
+        st.tuples(st.just("forget"), st.sampled_from(PEERS), st.just(frozenset())),
+    ),
+    max_size=60,
+)
+
+
+@given(gamma=st.integers(1, 7), safe=st.integers(0, 4), ops=reputation_ops)
+@settings(max_examples=300, deadline=None)
+def test_reputation_record_matches_per_monitor_rule(gamma, safe, ops):
+    n = node(monitors=range(gamma), out=(5, 6), inb=(7,), safe_rounds=safe)
+    ref = PerMonitorRule(range(gamma), safe)
+    for op, arg, verified in ops:
+        if op == "report":
+            got = n.handle_verified(arg, VerifiedMsg(verified))
+            assert got == ref.handle_verified(arg, PEERS, verified)
+        else:
+            n.forget(arg)
+            ref.forget(arg)
+        for p in PEERS:
+            assert n.check_reputation(p) is ref.must_disconnect(p)
+            assert n.reputation(p) == ref.reputation(p)

@@ -208,7 +208,6 @@ def test_node_states_mirror_topology_under_churn():
         st = handler.state if isinstance(handler, Adversary) else handler
         assert st.outbound is w.topo.out[n]
         assert st.inbound is w.topo.inb[n]
-        assert st.banned is w.topo.banned[n]
     adversaries = {n for n, h in w.nodes.items() if isinstance(h, Adversary)}
     assert adversaries == set(w.topo.malicious_alive())
 
@@ -272,26 +271,6 @@ worlds = st.builds(
 )
 
 
-@given(worlds, st.lists(st.integers(1, 6_000), min_size=1, max_size=12))
-@settings(max_examples=150, deadline=None)
-def test_one_live_round_entry_per_monitor_and_live_target(cfg, steps):
-    w = World(cfg)
-    now = 0
-    for step in steps + [cfg.duration_ms]:
-        w.engine.run_until(min(now + step, cfg.duration_ms))
-        assert w.engine.now >= now
-        now = w.engine.now
-        live = set(w.topo.peers_alive())
-        for mid, mon in w.monitors.items():
-            assert mon.nodes == live
-            assert {k for k in w.pending if k[0] == mid} == {(mid, t) for t in mon.nodes}
-            for t in mon.nodes:
-                fire_at, _, kind, _ = w.pending[(mid, t)]
-                assert kind is not None and fire_at > now  # neither cancelled nor fired
-                assert (kind == "round_timeout") == (t in mon.rounds)
-        assert w.topo.audit() == []
-
-
 class WorldMachine(RuleBasedStateMachine):
     """A small world whose engine runs in drawn steps while churn, edge
     changes and conversions to colluders are applied between them."""
@@ -303,7 +282,11 @@ class WorldMachine(RuleBasedStateMachine):
 
     @rule(step=st.integers(1, 6_000))
     def advance(self, step):
-        self.w.engine.run_until(self.w.engine.now + step)
+        w = self.w
+        w.engine.run_until(w.engine.now + step)
+        # every due entry has fired, so the rest lie strictly ahead; only a
+        # join's first scan is scheduled at `now` (see the invariant)
+        assert all(entry[0] > w.engine.now for entry in w.pending.values())
 
     @rule(target_population=st.integers(1, 8))
     def join_or_leave(self, target_population):
@@ -356,7 +339,6 @@ class WorldMachine(RuleBasedStateMachine):
             state = handler.state if isinstance(handler, Adversary) else handler
             assert state.outbound is topo.out[n]
             assert state.inbound is topo.inb[n]
-            assert state.banned is topo.banned[n]
         for mid, mon in w.monitors.items():
             assert mon.nodes == set(live)
             for rows in (mon.out, mon.inb):
