@@ -271,6 +271,26 @@ worlds = st.builds(
 )
 
 
+@given(worlds, st.lists(st.integers(1, 6_000), min_size=1, max_size=12))
+@settings(max_examples=150, deadline=None)
+def test_one_live_round_entry_per_monitor_and_live_target(cfg, steps):
+    w = World(cfg)
+    now = 0
+    for step in steps + [cfg.duration_ms]:
+        w.engine.run_until(min(now + step, cfg.duration_ms))
+        assert w.engine.now >= now
+        now = w.engine.now
+        live = set(w.topo.peers_alive())
+        for mid, mon in w.monitors.items():
+            assert mon.nodes == live
+            assert {k for k in w.pending if k[0] == mid} == {(mid, t) for t in mon.nodes}
+            for t in mon.nodes:
+                fire_at, _, kind, _ = w.pending[(mid, t)]
+                assert kind is not None and fire_at > now  # neither cancelled nor fired
+                assert (kind == "round_timeout") == (t in mon.rounds)
+        assert w.topo.audit() == []
+
+
 class WorldMachine(RuleBasedStateMachine):
     """A small world whose engine runs in drawn steps while churn, edge
     changes and conversions to colluders are applied between them."""
