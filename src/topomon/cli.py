@@ -218,17 +218,21 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_audit(args: argparse.Namespace) -> int:
     cfg = build_config(args)
-    # one complete verification round per (monitor, node), then stop
+    # one complete verification round per (monitor, node), then stop: all start at 0, the last
+    # relay goes by 2 * latency_hi, the list at round_timeout_ms, the next round at 1000 * f
+    window = max(cfg.round_timeout_ms, 2 * cfg.latency_ms_range[1])
+    f = max(cfg.f_init, window // 1000 + 1)
     cfg = replace(
         cfg,
         variability_s=0.0,
         malicious_pct=0.0,
         adaptive=False,
         scheduling_mode="fixed",
-        f_init=max(cfg.f_init, 2),
-        f_max=max(cfg.f_max, 2),
-        duration_ms=1_500,
-        probe_every_ms=1_500,
+        f_init=f,
+        f_max=max(cfg.f_max, f),
+        monitor_f_init=None,
+        duration_ms=window,
+        probe_every_ms=window,
     )
     world = World(cfg)
     world.run()

@@ -217,7 +217,7 @@ class World:
         """Test aid: flip an existing honest node to a malicious one."""
         if self.topo.roles[nid] is not Role.HONEST:
             raise ValueError(f"node {nid} is not honest")
-        self.topo.roles[nid] = Role.MALICIOUS
+        self.topo.set_role(nid, Role.MALICIOUS)
         adv = Adversary(self.nodes[nid], self.policy, single)
         self.nodes[nid] = adv
         return adv

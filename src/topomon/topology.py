@@ -3,7 +3,9 @@
 Edges are directed (opener -> target) and at most one edge exists per
 unordered pair. Monitors are connected to every live non-monitor node; those
 links are implicit here and never appear in peer sets or exports of peer
-edges unless explicitly requested.
+edges unless explicitly requested. A live node's role changes only through
+`set_role`, which keeps the live malicious count that churn steers by, so a
+join never scans the population.
 """
 from __future__ import annotations
 
@@ -65,6 +67,7 @@ class Topology:
         self.inb: dict[int, set[int]] = {}
         self.banned: dict[int, set[int]] = {}
         self.monitors: list[int] = []
+        self.malicious_count = 0  # live MALICIOUS nodes; `audit` recounts it
         self._next_id = 0
 
     # -- registry ----------------------------------------------------------
@@ -108,9 +111,19 @@ class Topology:
         self.out[nid] = set()
         self.inb[nid] = set()
         self.banned[nid] = set()
+        self.malicious_count += role is Role.MALICIOUS
         for t in targets:
             self.open_connection(nid, t)
         return NodeAdded(nid, role, targets)
+
+    def set_role(self, nid: int, role: Role) -> None:
+        """The only way to change a live node's role after it joins."""
+        if nid not in self.out:
+            raise UnknownNode(str(nid))
+        if role is Role.MONITOR:
+            raise ValueError("monitors join via add_monitor")
+        self.malicious_count += (role is Role.MALICIOUS) - (self.roles.get(nid) is Role.MALICIOUS)
+        self.roles[nid] = role
 
     def open_connection(self, a: int, b: int) -> None:
         if a not in self.out or b not in self.out:
@@ -160,6 +173,7 @@ class Topology:
         for p in orphans:
             self.out[p].discard(node)
         del self.roles[node], self.out[node], self.inb[node], self.banned[node]
+        self.malicious_count -= role is Role.MALICIOUS
         rewired: list[tuple[int, int | None]] = []
         for p in orphans:
             choices = self.eligible_targets(p)
@@ -174,17 +188,15 @@ class Topology:
     # -- churn -------------------------------------------------------------
 
     def steer_add_role(self, malicious_fraction: float) -> Role:
-        mal = len(self.malicious_alive())
         want = malicious_fraction * (self.population() + 1)
-        return Role.MALICIOUS if mal < want - 0.5 else Role.HONEST
+        return Role.MALICIOUS if self.malicious_count < want - 0.5 else Role.HONEST
 
     def steer_remove_node(self, malicious_fraction: float, rng: random.Random) -> int:
-        mal = self.malicious_alive()
-        hon = [n for n in self.out if self.roles[n] is Role.HONEST]
-        want = malicious_fraction * (self.population() - 1)
-        take_malicious = len(mal) >= want + 0.5
-        pool = mal if (take_malicious and mal) else (hon or mal)
-        return rng.choice(pool)
+        mal, pop = self.malicious_count, self.population()
+        want = malicious_fraction * (pop - 1)
+        over_quota = mal > 0 and mal >= want + 0.5
+        role = Role.MALICIOUS if over_quota or mal == pop else Role.HONEST
+        return rng.choice([n for n in self.out if self.roles[n] is role])
 
     def churn_tick(
         self, target_population: int, malicious_fraction: float, rng: random.Random
@@ -228,6 +240,9 @@ class Topology:
             for b in row:
                 if b in self.out[a] or b in self.inb[a]:
                     bad.append(f"banned pair still connected {a}~{b}")
+        mal = sum(r is Role.MALICIOUS for r in self.roles.values())
+        if mal != self.malicious_count:
+            bad.append(f"malicious count {self.malicious_count}, recount {mal}")
         return bad
 
     def edge_list_lines(self, *, include_monitors: bool = False) -> list[str]:

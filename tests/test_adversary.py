@@ -36,7 +36,7 @@ def wire(topo: Topology, nid: int, out=(), inb=()) -> None:
 def colluder(policy, nid, out=(), inb=(), single=None) -> Adversary:
     topo = policy.topo
     join(topo, nid)
-    topo.roles[nid] = Role.MALICIOUS
+    topo.set_role(nid, Role.MALICIOUS)
     wire(topo, nid, out, inb)
     st = NodeState(nid, MONITORS, outbound=topo.out[nid], inbound=topo.inb[nid])
     return Adversary(st, policy, single)

@@ -1,6 +1,8 @@
 """Command-line behavior: artifacts on disk, override precedence, exit codes."""
 from __future__ import annotations
 
+import pytest
+
 from topomon.cli import load_config_file, main
 
 RUN_ARGS = [
@@ -128,6 +130,25 @@ def test_audit_overhead_matches_closed_form(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "12/12 nodes match the closed-form cost" in out
+    assert "MISMATCH" not in out
+
+
+@pytest.mark.parametrize(
+    "setting",
+    ["round_timeout_ms = 1501", "latency_ms_range = 800,900", "monitor_f_init = 1,1,1"],
+)
+def test_audit_overhead_window_covers_one_complete_sweep(tmp_path, capsys, setting):
+    # a late confirmation list, a slow relay or an early second round would
+    # each leave the ledger off the closed form
+    cfile = tmp_path / "audit.conf"
+    cfile.write_text(setting + "\n")
+    rc = main(
+        ["audit-overhead", "--nodes", "10", "--monitors", "3", "--seed", "4",
+         "--config", str(cfile)]
+    )
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "10/10 nodes match the closed-form cost" in out
     assert "MISMATCH" not in out
 
 

@@ -169,8 +169,8 @@ def test_fresh_connection_resets_safe_period():
 def test_topology_ban_shows_through_and_forget_purges():
     topo = Topology()
     for nid in (1, 7, 8):
-        topo.roles[nid] = Role.HONEST
         topo.out[nid], topo.inb[nid], topo.banned[nid] = set(), set(), set()
+        topo.set_role(nid, Role.HONEST)
     topo.open_connection(1, 7)
     topo.open_connection(8, 1)
     n = NodeState(1, MONITORS, outbound=topo.out[1], inbound=topo.inb[1])

@@ -62,10 +62,10 @@ def test_mutual_duplicate_and_banned_edges_rejected():
     topo = Topology()
     for _ in range(3):
         nid = topo.new_id()
-        topo.roles[nid] = Role.HONEST
         topo.out[nid] = set()
         topo.inb[nid] = set()
         topo.banned[nid] = set()
+        topo.set_role(nid, Role.HONEST)
     topo.open_connection(0, 1)
     with pytest.raises(DuplicateEdge):
         topo.open_connection(0, 1)
@@ -179,9 +179,71 @@ def test_export_formats():
         assert f"n{a} -> n{b};" in dot
 
 
+def test_set_role_refuses_monitors_and_unknown_ids():
+    topo = build(3)
+    with pytest.raises(UnknownNode):
+        topo.set_role(topo.monitors[0], Role.HONEST)
+    with pytest.raises(UnknownNode):
+        topo.set_role(99, Role.MALICIOUS)
+    with pytest.raises(ValueError):
+        topo.set_role(topo.peers_alive()[0], Role.MONITOR)
+
+
+def test_audit_flags_a_role_written_around_set_role():
+    topo = build(5, seed=1, frac=0.2)
+    assert topo.malicious_count == 1 and topo.audit() == []
+    nid = next(n for n in topo.peers_alive() if topo.roles[n] is Role.HONEST)
+    topo.roles[nid] = Role.MALICIOUS
+    assert topo.audit() == ["malicious count 1, recount 2"]
+    topo.roles[nid] = Role.HONEST
+    topo.set_role(nid, Role.MALICIOUS)
+    assert topo.malicious_count == 2 and topo.audit() == []
+
+
+class RescanSteering(Topology):
+    """The steering rule before the live count: each call rescans the live
+    population for its malicious and honest nodes."""
+
+    def steer_add_role(self, malicious_fraction):
+        mal = len(self.malicious_alive())
+        want = malicious_fraction * (self.population() + 1)
+        return Role.MALICIOUS if mal < want - 0.5 else Role.HONEST
+
+    def steer_remove_node(self, malicious_fraction, rng):
+        mal = self.malicious_alive()
+        hon = [n for n in self.out if self.roles[n] is Role.HONEST]
+        want = malicious_fraction * (self.population() - 1)
+        take_malicious = len(mal) >= want + 0.5
+        pool = mal if (take_malicious and mal) else (hon or mal)
+        return rng.choice(pool)
+
+
+@given(
+    nodes=st.integers(0, 300),
+    frac=st.floats(0, 1),
+    seed=st.integers(0, 2**32),
+    targets=st.lists(st.integers(1, 320), max_size=40),
+)
+@settings(max_examples=100, deadline=None)
+def test_live_count_steers_like_the_population_rescan(nodes, frac, seed, targets):
+    runs = []
+    for topo in (Topology(), RescanSteering()):
+        rng = random.Random(seed)
+        topo.add_monitor()
+        for _ in range(nodes):
+            topo.add_node(topo.steer_add_role(frac), rng)
+        # each NodeRemoved carries the departed id, each NodeAdded the role
+        events = [topo.churn_tick(target, frac, rng) for target in targets]
+        runs.append((dict(topo.roles), events))
+    assert runs[0] == runs[1]
+
+
 @given(
     st.integers(min_value=0, max_value=2**32),
-    st.lists(st.sampled_from(["honest", "malicious", "leave", "tick", "monitor"]), max_size=80),
+    st.lists(
+        st.sampled_from(["honest", "malicious", "leave", "tick", "monitor", "set_role"]),
+        max_size=80,
+    ),
 )
 @settings(max_examples=100, deadline=None)
 def test_live_lists_equal_their_sorted_definitions(seed, ops):
@@ -197,7 +259,11 @@ def test_live_lists_equal_their_sorted_definitions(seed, ops):
             topo.churn_tick(8, 0.3, rng)
         elif op == "monitor":
             topo.add_monitor()
+        elif op == "set_role" and topo.population() > 0:
+            nid = rng.choice(sorted(topo.out))
+            topo.set_role(nid, rng.choice([Role.HONEST, Role.MALICIOUS]))
         peers = sorted(n for n, r in topo.roles.items() if r is not Role.MONITOR)
         bad = sorted(n for n, r in topo.roles.items() if r is Role.MALICIOUS)
         assert topo.peers_alive() == peers
         assert topo.malicious_alive() == bad
+        assert topo.malicious_count == len(bad)
