@@ -15,6 +15,9 @@ relay dropping.
 
 The clique keeps no roster of its own: colluders are the nodes whose
 `Topology` role is malicious, and their links are the topology's rows.
+`AdversaryPolicy` caches each colluder's sorted first-hop and second-hop
+colluder lists (its rings) and drops them all when `Topology.clique_version`
+moves, which happens only when the subgraph among colluders may have changed.
 """
 from __future__ import annotations
 
@@ -66,19 +69,30 @@ class AdversaryPolicy:
         self.full_hiding = full_hiding
         self.share_hops = share_hops
         self.second_hop_p = second_hop_p
+        self._rings: dict[int, tuple[list[int], list[int]]] = {}
+        self._rings_at = -1  # the clique_version `_rings` was filled at
 
     def is_colluder(self, node_id: int) -> bool:
         return self.topo.roles.get(node_id) is Role.MALICIOUS
 
-    def connected_colluders(self, node_id: int) -> list[int]:
-        return sorted(self.colluder_peers(node_id))
+    def rings(self, node_id: int) -> tuple[list[int], list[int]]:
+        """The colluders adjacent to `node_id`, and those two links away but
+        not adjacent, each sorted; both empty for a node that is no colluder.
+        Cached until `Topology.clique_version` moves; do not mutate."""
+        t = self.topo
+        if self._rings_at != t.clique_version:
+            self._rings_at, self._rings = t.clique_version, {}
+        got = self._rings.get(node_id)
+        if got is None:
+            roles, mal = t.roles, Role.MALICIOUS
 
-    def colluder_peers(self, node_id: int) -> list[int]:
-        """`connected_colluders` in no particular order."""
-        t, roles, mal = self.topo, self.topo.roles, Role.MALICIOUS
-        if roles.get(node_id) is not mal:
-            return []
-        return [p for p in t.out[node_id] | t.inb[node_id] if roles[p] is mal]
+            def adjacent(n: int) -> set[int]:
+                return {p for p in t.out[n] | t.inb[n] if roles[p] is mal}
+
+            first = adjacent(node_id) if roles.get(node_id) is mal else set()
+            second = set().union(*map(adjacent, first)) - first - {node_id}
+            got = self._rings[node_id] = (sorted(first), sorted(second))
+        return got
 
 
 class Adversary:
@@ -125,10 +139,8 @@ class Adversary:
         )
 
     def _fakes_for(self, ring: list[int], m: Marker) -> list[Send]:
-        inb = self.policy.topo.inb
-        return [
-            Send(c, m.monitor, m) for c in ring if m.target not in inb[c] and c != m.target
-        ]
+        inb, target, mon = self.policy.topo.inb, m.target, m.monitor
+        return [Send(c, mon, m) for c in ring if c != target and target not in inb[c]]
 
     # -- full collusion -----------------------------------------------------------
 
@@ -143,21 +155,16 @@ class Adversary:
                     if not pol.is_colluder(p)
                 ]
             # adjacent colluders answer for links that do not exist
-            return acts + self._fakes_for(pol.connected_colluders(st.id), m)
+            return acts + self._fakes_for(pol.rings(st.id)[0], m)
         if sender == m.target and sender in st.inbound:
             if pol.is_colluder(sender):
                 return []  # clique-internal link stays hidden
             # hide the honest link, leak the nonce through the clique
-            ring = set(pol.colluder_peers(st.id))
-            if pol.share_hops >= 2:
-                second: set[int] = set()
-                for c in ring:
-                    second.update(pol.colluder_peers(c))
-                second -= ring | {st.id}
-                for c in sorted(second):
-                    if pol.rng.random() < pol.second_hop_p:
-                        ring.add(c)
-            return self._fakes_for(sorted(ring), m)
+            ring, second = pol.rings(st.id)
+            if pol.share_hops >= 2 and second:
+                rand, p = pol.rng.random, pol.second_hop_p
+                ring = sorted(ring + [c for c in second if rand() < p])
+            return self._fakes_for(ring, m)
         return []
 
     # -- isolated misbehaviors -------------------------------------------------------

@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import TextIO
 
 from .experiment import _num, run_experiment, run_sweep
-from .metrics import audit_overhead
+from .metrics import AuditRow, audit_overhead
 from .monitor import SCHEDULING_MODES
 from .simulation import ConfigInvalid, ExperimentConfig, World
 
@@ -216,8 +216,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_audit(args: argparse.Namespace) -> int:
-    cfg = build_config(args)
+def audit_rows(cfg: ExperimentConfig) -> list[AuditRow]:
+    """Each node's message bill over one sweep of `cfg`'s overlay, made static
+    and honest, against the closed form."""
     # one complete verification round per (monitor, node), then stop: all start at 0, the last
     # relay goes by 2 * latency_hi, the list at round_timeout_ms, the next round at 1000 * f
     window = max(cfg.round_timeout_ms, 2 * cfg.latency_ms_range[1])
@@ -240,7 +241,11 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         n: (len(world.topo.out[n]), len(world.topo.inb[n]))
         for n in world.topo.peers_alive()
     }
-    rows = audit_overhead(world.ledger, degrees, cfg.monitors)
+    return audit_overhead(world.ledger, degrees, cfg.monitors)
+
+
+def _cmd_audit(args: argparse.Namespace) -> int:
+    rows = audit_rows(build_config(args))
     width = max(len(str(r.node)) for r in rows)
     bad = 0
     for r in rows:

@@ -5,15 +5,17 @@ from the monitoring nodes themselves never count. Precision and recall are
 None when their denominator is empty rather than silently zero.
 
 The message ledger books every protocol send and receive per node, split
-by kind. A node's per-sweep protocol load excludes the probe the monitor
-sends it (that one is booked to the monitor's budget), which makes the
-closed-form count (out_deg + 2*in_deg + 1) * monitors hold exactly.
+by kind: it keeps one node -> count dict per kind and direction, so booking
+a message builds no key. A node's per-sweep protocol load excludes the
+probe the monitor sends it (that one is booked to the monitor's budget),
+which makes the closed-form count (out_deg + 2*in_deg + 1) * monitors hold
+exactly.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-KINDS = frozenset(("marker_from_monitor", "marker_forwarded", "marker_to_monitor", "verified"))
+KINDS = ("marker_from_monitor", "marker_forwarded", "marker_to_monitor", "verified")
 
 
 @dataclass(frozen=True)
@@ -62,21 +64,22 @@ def expected_overhead(out_deg: int, in_deg: int, monitors: int) -> int:
 
 class OverheadLedger:
     def __init__(self) -> None:
-        self.sent: dict[tuple[int, str], int] = {}
-        self.recv: dict[tuple[int, str], int] = {}
+        self.sent: dict[str, dict[int, int]] = {k: {} for k in KINDS}
+        self.recv: dict[str, dict[int, int]] = {k: {} for k in KINDS}
 
     def count(self, kind: str, frm: int, to: int) -> None:
-        if kind not in KINDS:
-            raise ValueError(f"unknown message kind {kind!r}")
-        sent, recv = self.sent, self.recv
-        sent[frm, kind] = sent.get((frm, kind), 0) + 1
-        recv[to, kind] = recv.get((to, kind), 0) + 1
+        try:
+            sent, recv = self.sent[kind], self.recv[kind]
+        except KeyError:
+            raise ValueError(f"unknown message kind {kind!r}") from None
+        sent[frm] = sent.get(frm, 0) + 1
+        recv[to] = recv.get(to, 0) + 1
 
     def sent_of(self, node: int, kind: str) -> int:
-        return self.sent.get((node, kind), 0)
+        return self.sent[kind].get(node, 0)
 
     def recv_of(self, node: int, kind: str) -> int:
-        return self.recv.get((node, kind), 0)
+        return self.recv[kind].get(node, 0)
 
     def node_protocol_load(self, node: int) -> int:
         """Per-node count matching expected_overhead's convention: the

@@ -245,24 +245,30 @@ class World:
         self.pending[(mid, target)] = self.engine.schedule(
             self.cfg.round_timeout_ms, "round_timeout", mid, target
         )
-        self._send("marker_from_monitor", mid, target, marker)
+        self._send([(mid, target, marker)], "marker_from_monitor")
 
     def _on_round_timeout(self, mid: int, target: int) -> None:
         msg, delay = self.monitors[mid].close_round(target, self.engine.rng_sched)
-        self._send("verified", mid, target, msg)
+        self._send([(mid, target, msg)], "verified")
         self._schedule_round(mid, target, max(0, delay - self.cfg.round_timeout_ms))
 
     # -- message transport ---------------------------------------------------------
 
-    def _send(self, kind: str, frm: int, to: int, payload) -> None:
-        # randint(lo, hi) as CPython draws it, by rejection over getrandbits
+    def _send(self, msgs, kind: str | None = None) -> None:
+        """Book and schedule each `(frm, to, payload)` in order as `kind`; a
+        relay burst (no `kind`) goes as `marker_to_monitor` or
+        `marker_forwarded` by its recipient."""
         lo, n, k = self._latency
         getrandbits = self.engine.rng_latency.getrandbits
-        r = getrandbits(k)
-        while r >= n:
+        count, schedule, mons = self.ledger.count, self.engine.schedule, self.monitors
+        for frm, to, payload in msgs:
+            # randint(lo, hi) as CPython draws it, by rejection over getrandbits
             r = getrandbits(k)
-        self.ledger.count(kind, frm, to)
-        self.engine.schedule(lo + r, "deliver", kind, frm, to, payload)
+            while r >= n:
+                r = getrandbits(k)
+            hop = kind or ("marker_to_monitor" if to in mons else "marker_forwarded")
+            count(hop, frm, to)
+            schedule(lo + r, "deliver", hop, frm, to, payload)
 
     def _on_deliver(self, kind: str, frm: int, to: int, payload) -> None:
         tracing = self.engine.tracing  # trace details are built only when kept
@@ -285,9 +291,7 @@ class World:
             return
         if tracing:
             self.engine.trace(kind, frm, to, f"{payload.target}:{payload.value}")
-        for s in self.nodes[to].handle_marker(frm, payload):
-            hop = "marker_to_monitor" if s.to in self.monitors else "marker_forwarded"
-            self._send(hop, s.sender, s.to, s.marker)
+        self._send(self.nodes[to].handle_marker(frm, payload))
 
     # -- enforcement -----------------------------------------------------------------
 

@@ -6,6 +6,11 @@ links are implicit here and never appear in peer sets or exports of peer
 edges unless explicitly requested. A live node's role changes only through
 `set_role`, which keeps the live malicious count that churn steers by, so a
 join never scans the population.
+
+`clique_version` moves whenever the subgraph among malicious nodes may have
+changed: a link between two malicious nodes opens or closes, a malicious
+node joins or leaves, or `set_role` runs. Honest-only changes and bans leave
+it alone, so readers can cache what they derive from that subgraph.
 """
 from __future__ import annotations
 
@@ -18,6 +23,9 @@ class Role(str, Enum):
     HONEST = "honest"
     MALICIOUS = "malicious"
     MONITOR = "monitor"
+
+
+_MALICIOUS = Role.MALICIOUS  # for per-link code: enum attribute loads are slow
 
 
 class TopologyError(Exception):
@@ -68,6 +76,7 @@ class Topology:
         self.banned: dict[int, set[int]] = {}
         self.monitors: list[int] = []
         self.malicious_count = 0  # live MALICIOUS nodes; `audit` recounts it
+        self.clique_version = 0  # see the module docstring
         self._next_id = 0
 
     # -- registry ----------------------------------------------------------
@@ -112,6 +121,7 @@ class Topology:
         self.inb[nid] = set()
         self.banned[nid] = set()
         self.malicious_count += role is Role.MALICIOUS
+        self.clique_version += role is Role.MALICIOUS
         for t in targets:
             self.open_connection(nid, t)
         return NodeAdded(nid, role, targets)
@@ -123,6 +133,7 @@ class Topology:
         if role is Role.MONITOR:
             raise ValueError("monitors join via add_monitor")
         self.malicious_count += (role is Role.MALICIOUS) - (self.roles.get(nid) is Role.MALICIOUS)
+        self.clique_version += 1
         self.roles[nid] = role
 
     def open_connection(self, a: int, b: int) -> None:
@@ -138,12 +149,16 @@ class Topology:
             raise BannedPeer(f"{a}->{b}")
         self.out[a].add(b)
         self.inb[b].add(a)
+        if self.roles[a] is self.roles[b] is _MALICIOUS:
+            self.clique_version += 1
 
     def close_connection(self, a: int, b: int) -> None:
         if b not in self.out.get(a, ()):
             raise UnknownNode(f"no edge {a}->{b}")
         self.out[a].discard(b)
         self.inb[b].discard(a)
+        if self.roles[a] is self.roles[b] is _MALICIOUS:
+            self.clique_version += 1
 
     def ban(self, a: int, b: int) -> None:
         """Permanent, symmetric: neither endpoint accepts the other again."""
@@ -174,6 +189,7 @@ class Topology:
             self.out[p].discard(node)
         del self.roles[node], self.out[node], self.inb[node], self.banned[node]
         self.malicious_count -= role is Role.MALICIOUS
+        self.clique_version += role is Role.MALICIOUS
         rewired: list[tuple[int, int | None]] = []
         for p in orphans:
             choices = self.eligible_targets(p)

@@ -4,6 +4,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topomon.adversary import Adversary, AdversaryPolicy, SingleBehavior
 from topomon.protocol import Marker, NodeState, Send
@@ -24,13 +26,14 @@ def join(topo: Topology, nid: int) -> None:
 
 
 def wire(topo: Topology, nid: int, out=(), inb=()) -> None:
-    """Add the edges nid->out and inb->nid. Repeating an edge already added
-    from its other end is a no-op."""
+    """Open the edges nid->out and inb->nid through `open_connection`, so the
+    clique version sees them. Repeating an edge already opened from its
+    other end is a no-op."""
     for a, b in [(nid, p) for p in out] + [(p, nid) for p in inb]:
         join(topo, a)
         join(topo, b)
-        topo.out[a].add(b)
-        topo.inb[b].add(a)
+        if b not in topo.out[a]:
+            topo.open_connection(a, b)
 
 
 def colluder(policy, nid, out=(), inb=(), single=None) -> Adversary:
@@ -114,14 +117,74 @@ def test_worst_case_ignores_confirmation_lists():
     assert d.handle_verified(100, object()) == []
 
 
+class RescanRings(AdversaryPolicy):
+    """The ring rule before the cache: every call rebuilds both rings from
+    the topology's rows."""
+
+    def rings(self, node_id):
+        t, roles, mal = self.topo, self.topo.roles, Role.MALICIOUS
+
+        def colluder_peers(n):
+            if roles.get(n) is not mal:
+                return []
+            return [p for p in t.out[n] | t.inb[n] if roles[p] is mal]
+
+        ring = set(colluder_peers(node_id))
+        second: set[int] = set()
+        for c in ring:
+            second.update(colluder_peers(c))
+        second -= ring | {node_id}
+        return sorted(ring), sorted(second)
+
+
+RING_OPS = ("join", "leave", "tick", "open", "close", "ban", "set_role")
+
+
+@given(
+    seed=st.integers(0, 2**32),
+    nodes=st.integers(0, 12),
+    frac=st.sampled_from([0.0, 0.2, 0.4, 0.6]),
+    ops=st.lists(st.sampled_from(RING_OPS), max_size=40),
+)
+@settings(max_examples=200, deadline=None)
+def test_cached_rings_equal_the_rescan_after_every_change(seed, nodes, frac, ops):
+    topo = Topology(target_outbound=2)
+    rng = random.Random(seed)
+    topo.add_monitor()
+    pol, ref = AdversaryPolicy(topo, random.Random(0)), RescanRings(topo, random.Random(0))
+    for _ in range(nodes):
+        topo.add_node(topo.steer_add_role(frac), rng)
+    for op in ["-"] + ops:
+        live = topo.peers_alive()
+        edges = sorted(topo.peer_edges())
+        if op == "join":
+            topo.add_node(Role.MALICIOUS if rng.random() < frac else Role.HONEST, rng)
+        elif op == "leave" and live:
+            topo.remove_node(rng.choice(live), rng)
+        elif op == "tick":
+            topo.churn_tick(max(nodes, 1), frac, rng)
+        elif op == "open" and live:
+            a = rng.choice(live)
+            if topo.eligible_targets(a):
+                topo.open_connection(a, rng.choice(topo.eligible_targets(a)))
+        elif op == "close" and edges:
+            topo.close_connection(*rng.choice(edges))
+        elif op == "ban" and len(live) >= 2:
+            topo.ban(*rng.sample(live, 2))
+        elif op == "set_role" and live:
+            topo.set_role(rng.choice(live), rng.choice((Role.HONEST, Role.MALICIOUS)))
+        for n in topo.peers_alive():
+            assert pol.rings(n) == ref.rings(n), (op, n)
+
+
 def test_departed_colluder_leaves_the_clique():
     pol = make_policy()
     colluder(pol, 1, inb=(2,))
     colluder(pol, 2)
-    assert pol.connected_colluders(2) == [1]
+    assert pol.rings(2) == ([1], [])
     pol.topo.remove_node(1, random.Random(0))
     assert not pol.is_colluder(1)
-    assert pol.connected_colluders(2) == []
+    assert pol.rings(2) == ([], [])
 
 
 # -- isolated misbehaviors -------------------------------------------------------

@@ -2,8 +2,11 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from topomon.cli import load_config_file, main
+from topomon.cli import audit_rows, load_config_file, main
+from topomon.simulation import ExperimentConfig
 
 RUN_ARGS = [
     "run",
@@ -150,6 +153,26 @@ def test_audit_overhead_window_covers_one_complete_sweep(tmp_path, capsys, setti
     assert rc == 0
     assert "10/10 nodes match the closed-form cost" in out
     assert "MISMATCH" not in out
+
+
+@given(
+    st.builds(
+        ExperimentConfig,
+        nodes=st.integers(1, 15),
+        monitors=st.integers(1, 4),
+        outbound_per_node=st.integers(0, 4),
+        round_timeout_ms=st.integers(1, 3_000),
+        latency_ms_range=st.lists(st.integers(0, 900), min_size=2, max_size=2)
+        .map(sorted)
+        .map(tuple),
+        f_init=st.integers(1, 4),
+        seed=st.integers(0, 2**16),
+    )
+)
+@settings(deadline=None)
+def test_every_node_pays_the_closed_form_over_one_sweep(cfg):
+    # criterion 7's closed form, for any static honest overlay swept once
+    assert all(row.ok for row in audit_rows(cfg))
 
 
 def test_export_edgelist_to_stdout(capsys):

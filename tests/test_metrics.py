@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from topomon.metrics import (
+    KINDS,
     AuditRow,
     ConfusionCounts,
     OverheadLedger,
@@ -102,6 +103,30 @@ def test_ledger_books_both_endpoints():
 def test_ledger_rejects_unknown_kind():
     with pytest.raises(ValueError):
         OverheadLedger().count("gossip", 1, 2)
+
+
+node_ids = st.integers(0, 6)
+
+
+@given(st.lists(st.tuples(st.sampled_from(KINDS + ("gossip",)), node_ids, node_ids)))
+def test_ledger_counts_like_a_tuple_keyed_tally(messages):
+    led = OverheadLedger()
+    sent: dict[tuple[int, str], int] = {}
+    recv: dict[tuple[int, str], int] = {}
+    for kind, frm, to in messages:
+        if kind not in KINDS:
+            before = repr((led.sent, led.recv))
+            with pytest.raises(ValueError):
+                led.count(kind, frm, to)
+            assert repr((led.sent, led.recv)) == before  # an unknown kind writes nothing
+            continue
+        led.count(kind, frm, to)
+        sent[frm, kind] = sent.get((frm, kind), 0) + 1
+        recv[to, kind] = recv.get((to, kind), 0) + 1
+    for node in range(7):
+        for kind in KINDS:
+            assert led.sent_of(node, kind) == sent.get((node, kind), 0)
+            assert led.recv_of(node, kind) == recv.get((node, kind), 0)
 
 
 def test_node_load_counts_exactly_the_four_legs():

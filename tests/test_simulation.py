@@ -18,6 +18,8 @@ from topomon.monitor import SCHEDULING_MODES
 from topomon.simulation import ConfigInvalid, ExperimentConfig, World
 from topomon.topology import NodeAdded, Role
 
+from test_adversary import RescanRings
+
 
 def small(**kw) -> ExperimentConfig:
     base = dict(
@@ -80,8 +82,7 @@ def test_latency_draws_match_randint(bounds):
     ref = substream(w.cfg.seed, "latency")  # a Random seeded as the World's stream
     delays = []
     w.engine.schedule = lambda delay, kind, *data: delays.append(delay)
-    for _ in range(300):
-        w._send("verified", 0, 5, None)
+    w._send([(0, 5, None)] * 300, "verified")  # one burst
     assert delays == [ref.randint(*bounds) for _ in range(300)]
     assert w.engine.rng_latency.getstate() == ref.getstate()
 
@@ -271,26 +272,6 @@ worlds = st.builds(
 )
 
 
-@given(worlds, st.lists(st.integers(1, 6_000), min_size=1, max_size=12))
-@settings(max_examples=150, deadline=None)
-def test_one_live_round_entry_per_monitor_and_live_target(cfg, steps):
-    w = World(cfg)
-    now = 0
-    for step in steps + [cfg.duration_ms]:
-        w.engine.run_until(min(now + step, cfg.duration_ms))
-        assert w.engine.now >= now
-        now = w.engine.now
-        live = set(w.topo.peers_alive())
-        for mid, mon in w.monitors.items():
-            assert mon.nodes == live
-            assert {k for k in w.pending if k[0] == mid} == {(mid, t) for t in mon.nodes}
-            for t in mon.nodes:
-                fire_at, _, kind, _ = w.pending[(mid, t)]
-                assert kind is not None and fire_at > now  # neither cancelled nor fired
-                assert (kind == "round_timeout") == (t in mon.rounds)
-        assert w.topo.audit() == []
-
-
 class WorldMachine(RuleBasedStateMachine):
     """A small world whose engine runs in drawn steps while churn, edge
     changes and conversions to colluders are applied between them."""
@@ -359,6 +340,9 @@ class WorldMachine(RuleBasedStateMachine):
             state = handler.state if isinstance(handler, Adversary) else handler
             assert state.outbound is topo.out[n]
             assert state.inbound is topo.inb[n]
+        rescan = RescanRings(topo, w.policy.rng)
+        for n in topo.malicious_alive():
+            assert w.policy.rings(n) == rescan.rings(n)
         for mid, mon in w.monitors.items():
             assert mon.nodes == set(live)
             for rows in (mon.out, mon.inb):
