@@ -24,7 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from topomon.protocol import Marker, NodeState, Send
+from topomon.protocol import Marker, NodeState, Send, new
 from topomon.topology import Role, Topology
 
 
@@ -140,13 +140,14 @@ class Adversary:
 
     def _fakes_for(self, ring: list[int], m: Marker) -> list[Send]:
         inb, target, mon = self.policy.topo.inb, m.target, m.monitor
-        return [Send(c, mon, m) for c in ring if c != target and target not in inb[c]]
+        return [new(Send, (c, mon, m)) for c in ring if c != target and target not in inb[c]]
 
     # -- full collusion -----------------------------------------------------------
 
     def _worst_case(self, sender: int, m: Marker) -> list[Send]:
         pol, st = self.policy, self.state
-        if self._own_probe(sender, m):
+        target, mon, _ = m
+        if sender == mon and target == st.id and mon in st.monitors:  # own probe
             acts = []
             if not pol.full_hiding:
                 acts = [
@@ -156,7 +157,7 @@ class Adversary:
                 ]
             # adjacent colluders answer for links that do not exist
             return acts + self._fakes_for(pol.rings(st.id)[0], m)
-        if sender == m.target and sender in st.inbound:
+        if sender == target and sender in st.inbound:
             if pol.is_colluder(sender):
                 return []  # clique-internal link stays hidden
             # hide the honest link, leak the nonce through the clique

@@ -4,11 +4,12 @@ All simulation time is integer milliseconds. Determinism contract: two engines
 built from the same seed that schedule the same work in the same order produce
 bit-identical event sequences, RNG draws, and trace output.
 
-A scheduled event is a plain list `[fire_at, seq, kind, data]`, pushed onto
-the heap as is: `seq` is unique, so heap order is decided by the two ints
-and never reaches `kind`. `schedule` returns that list; `Engine.cancel`
-marks it dead by clearing its kind, and `run_until` drops dead entries
-without counting them.
+A scheduled event is one int key, `fire_at << SEQ_BITS | seq`, and the heap
+holds only keys: `seq` is unique and below `SEQ_LIMIT`, so key order is
+(fire_at, seq) order. The event's `(kind, data)` lives in a dict under its
+key. `schedule` returns the key as the event's handle; `Engine.cancel` pops
+the dict entry, and `run_until` skips keys that have none without counting
+them. A `schedule` past `SEQ_LIMIT` raises rather than misorder.
 """
 from __future__ import annotations
 
@@ -19,6 +20,9 @@ from heapq import heappop, heappush
 from typing import Any, Callable, TextIO
 
 SimTime = int  # milliseconds
+
+SEQ_BITS = 32
+SEQ_LIMIT = 1 << SEQ_BITS  # events one engine may schedule
 
 
 def substream(seed: int, label: str) -> random.Random:
@@ -72,7 +76,8 @@ class Engine:
     def __init__(self, seed: int, trace: TextIO | None = None) -> None:
         self.seed = seed
         self.now: SimTime = 0
-        self._heap: list[list] = []
+        self._heap: list[int] = []  # event keys
+        self._events: dict[int, tuple[str, tuple]] = {}  # key -> (kind, data)
         self._seq = 0
         self._handlers: dict[str, Callable[..., None]] = {}
         self._trace = trace
@@ -89,29 +94,41 @@ class Engine:
     def on(self, kind: str, handler: Callable[..., None]) -> None:
         self._handlers[kind] = handler
 
-    def schedule(self, delay_ms: int, kind: str, *data: Any) -> list:
+    def schedule(self, delay_ms: int, kind: str, *data: Any) -> int:
         if delay_ms < 0:
             raise ValueError("delay_ms must be >= 0")
-        entry = [self.now + delay_ms, self._seq, kind, data]
-        self._seq += 1
-        heappush(self._heap, entry)
-        return entry
+        seq = self._seq
+        if seq >= SEQ_LIMIT:
+            raise OverflowError(f"more than {SEQ_LIMIT} events scheduled")
+        self._seq = seq + 1
+        key = (self.now + delay_ms) << SEQ_BITS | seq
+        self._events[key] = (kind, data)
+        heappush(self._heap, key)
+        return key
 
-    def cancel(self, entry: list) -> None:
-        """Never fire `entry`; harmless if it already fired or was cancelled."""
-        entry[2] = None
+    def cancel(self, key: int) -> None:
+        """Never fire the event; harmless if it already fired or was cancelled."""
+        self._events.pop(key, None)
+
+    def due(self, key: int) -> tuple[SimTime, str] | None:
+        """(fire_at, kind) of a pending event; None once it fired or was cancelled."""
+        ev = self._events.get(key)
+        return None if ev is None else (key >> SEQ_BITS, ev[0])
 
     def run_until(self, t_end: SimTime) -> int:
         """Process every event with fire_at <= t_end; advance clock to t_end."""
         if t_end < self.now:
             raise ValueError(f"run_until({t_end}) would move the clock back from {self.now}")
-        heap, handlers = self._heap, self._handlers
+        heap, pop, handlers = self._heap, self._events.pop, self._handlers
+        end = (t_end + 1) << SEQ_BITS  # the smallest key due after t_end
         processed = 0
-        while heap and heap[0][0] <= t_end:
-            fire_at, _, kind, data = heappop(heap)
-            if kind is None:
-                continue
-            self.now = fire_at
+        while heap and heap[0] < end:
+            key = heappop(heap)
+            ev = pop(key, None)
+            if ev is None:
+                continue  # cancelled
+            self.now = key >> SEQ_BITS
+            kind, data = ev
             handler = handlers.get(kind)
             if handler is None:
                 raise KeyError(f"no handler for event kind {kind!r}")

@@ -127,19 +127,52 @@ class SweepReport:
 
 @contextmanager
 def process_pool(fn: Callable, items: Sequence) -> Iterator[list]:
-    """Yield one future of `fn(item)` per item, in item order, from a fresh
-    pool with one worker per available core; `items` must not be empty. If
-    the block raises, the calls not yet started are dropped. No worker
-    process outlives the block."""
+    """Yield one handle per item, in item order, from a fresh pool with one
+    worker per available core; `items` must not be empty. A handle's
+    `result()` returns `fn(item)` or raises what that call raised. Items go
+    out in chunks of consecutive items, about 64 chunks per worker, so short
+    calls share the pool's per-call cost; up to 64 items per worker go one
+    per chunk. If the block raises, the chunks not yet started are dropped.
+    No worker process outlives the block."""
     import concurrent.futures  # imported here: ~2 MB that only pools need
 
     workers = min(len(os.sched_getaffinity(0)), len(items))
+    size = -(-len(items) // (64 * workers))
+    chunks = [items[i : i + size] for i in range(0, len(items), size)]
     with concurrent.futures.ProcessPoolExecutor(workers) as pool:
         try:
-            yield [pool.submit(fn, item) for item in items]
+            futures = [pool.submit(_run_chunk, fn, chunk) for chunk in chunks]
+            yield [_Handle(f, k) for f, chunk in zip(futures, chunks) for k in range(len(chunk))]
         except BaseException:
             pool.shutdown(cancel_futures=True)  # `with` then joins the calls in flight
             raise
+
+
+def _run_chunk(fn: Callable, chunk: Sequence) -> list[tuple[object, str | None]]:
+    """`(fn(item), None)` per item, or `(what it raised, its traceback)`."""
+    out = []
+    for item in chunk:
+        try:
+            out.append((fn(item), None))
+        except Exception as exc:  # the item's failure, not the chunk's
+            import traceback  # imported here: only a failed call needs it
+
+            out.append((exc, "".join(traceback.format_exception(exc))))
+    return out
+
+
+@dataclass(frozen=True)
+class _Handle:
+    """One item's result within its chunk's future."""
+
+    future: concurrent.futures.Future
+    k: int
+
+    def result(self):
+        value, worker_traceback = self.future.result()[self.k]
+        if worker_traceback is None:
+            return value
+        raise value from Exception(worker_traceback)  # as a pool shows a call's failure
 
 
 def _run_one(cfg: ExperimentConfig) -> RunReport:

@@ -26,10 +26,11 @@ re-scans of every node whose row pointed at the departed peer.
 from __future__ import annotations
 
 import random
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 
 from topomon.engine import sample_poisson
-from topomon.protocol import Marker, VerifiedMsg
+from topomon.protocol import Marker, VerifiedMsg, new
 
 SCHEDULING_MODES = ("poisson", "fixed")
 
@@ -122,7 +123,7 @@ class Monitor:
             raise RoundAlreadyOpen(f"monitor {self.id} target {target}")
         value = rng.getrandbits(64)
         self.rounds[target] = Round(value, self.outbound_row(target), set())
-        return Marker(target=target, monitor=self.id, value=value)
+        return new(Marker, (target, self.id, value))
 
     def receive_marker(self, sender: int, m: Marker) -> bool:
         """Accept a relayed marker into the open round it answers.
@@ -157,7 +158,7 @@ class Monitor:
         rnd = self.rounds.pop(target, None)
         if rnd is None:
             raise NoOpenRound(f"monitor {self.id} target {target}")
-        c = self.update_topology(target, frozenset(rnd.collected), rnd.prior_row)
+        c = self.update_topology(target, rnd.collected, rnd.prior_row)
         if self.adaptive:
             self.adjust_frequency(target, c)
         msg = self.build_verified_message(target)
@@ -166,16 +167,21 @@ class Monitor:
     # -- view maintenance --------------------------------------------------------
 
     def update_topology(
-        self, target: int, collected: frozenset[int], prior: frozenset[int]
+        self, target: int, collected: AbstractSet[int], prior: frozenset[int]
     ) -> int:
         """Rewrite the target's outbound row from the collected set and
-        return how many edges changed against `prior`, the pre-round row."""
+        return how many edges changed against `prior`, the pre-round row.
+        Only the mirror rows of peers entering or leaving the row are touched."""
         row = self.nodes.intersection(collected)
-        for b in self.out.get(target, ()):
+        old = self.out.get(target, frozenset())
+        for b in old - row:
             self.inb[b].discard(target)
+        for p in row - old:
+            mirror = self.inb.get(p)
+            if mirror is None:
+                mirror = self.inb[p] = set()
+            mirror.add(target)
         self.out[target] = row
-        for p in row:
-            self.inb.setdefault(p, set()).add(target)
         return len(prior.symmetric_difference(collected))
 
     def adjust_frequency(self, target: int, c: int) -> None:

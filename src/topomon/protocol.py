@@ -19,8 +19,10 @@ from __future__ import annotations
 from collections.abc import Set as AbstractSet
 from typing import NamedTuple
 
-# Messages are plain named tuples: one is built per relayed marker, and a
-# tuple costs a fraction of a frozen dataclass to construct.
+# Messages are plain named tuples. Relays, fabricated relays and round markers
+# are built as `new(Send, (sender, to, marker))`: `tuple.__new__` skips the
+# NamedTuple's Python-level `__new__` and still makes a `Send`.
+new = tuple.__new__
 
 
 class Marker(NamedTuple):
@@ -81,9 +83,9 @@ class NodeState:
 
     def handle_marker(self, sender: int, m: Marker) -> list[Send]:
         if sender == m.monitor and m.monitor in self.monitors:
-            return [Send(self.id, p, m) for p in sorted(self.outbound)]
+            return [new(Send, (self.id, p, m)) for p in sorted(self.outbound)]
         if sender == m.target and sender in self.inbound and m.monitor in self.monitors:
-            return [Send(self.id, m.monitor, m)]
+            return [new(Send, (self.id, m.monitor, m))]
         return []
 
     # -- reputation ----------------------------------------------------------
@@ -106,18 +108,23 @@ class NodeState:
         tallies, safe, verified = self.tallies, self.safe_rounds, v.verified_peers
         n = len(self.monitors)
         cut = []
-        # a report for p touches only p's record, so p is judged right away
-        for p in sorted(self.outbound | self.inbound):
+        # a report for p touches only p's record, so p is judged right away;
+        # a slot starts as [vouching, 0 reports] and a bit is written on a flip
+        for p in self.outbound | self.inbound:
             rec = tallies.get(p)
             if rec is None:
                 rec = tallies[p] = [n if safe else 0, 0, {}]
-            slot = rec[2].setdefault(from_monitor, [1, 0])
-            bit = 1 if p in verified else 0
-            rec[1] += slot[0] - bit
-            slot[0] = bit
+            slot = rec[2].get(from_monitor)
+            if slot is None:
+                slot = rec[2][from_monitor] = [1, 0]
+            bit = p in verified
+            if slot[0] != bit:
+                slot[0] = bit
+                rec[1] += -1 if bit else 1
             slot[1] += 1
             if slot[1] == safe:
                 rec[0] -= 1
             if rec[0] == 0 and 2 * rec[1] >= n:
-                cut.append(Disconnect(p))
-        return cut
+                cut.append(p)
+        cut.sort()
+        return [Disconnect(p) for p in cut]

@@ -76,6 +76,8 @@ class ExperimentConfig:
 
     def validate(self) -> list[str]:
         bad = [f"{f} must be finite" for f in _FLOAT_FIELDS if not math.isfinite(getattr(self, f))]
+        # event keys pack integer ms, and counts must be whole
+        bad += [f"{f} must be an integer" for f in _INT_FIELDS if not isinstance(getattr(self, f), int)]
         for name, lo, hi in _BOUNDS:
             if not lo <= getattr(self, name) <= hi:
                 bound = f">= {lo}" if hi == math.inf else f"in [{lo}, {hi}]"
@@ -104,6 +106,7 @@ class ExperimentConfig:
 
 # computed once: World.__init__ calls validate() for every run
 _FLOAT_FIELDS = tuple(f.name for f in fields(ExperimentConfig) if f.type == "float")
+_INT_FIELDS = tuple(f.name for f in fields(ExperimentConfig) if f.type == "int")
 # (field, lo, hi): each field must lie in [lo, hi], which reads ">= lo" when hi
 # is infinite; probe_every_ms >= 1 because the probe reschedules itself that far
 _BOUNDS = (
@@ -142,7 +145,7 @@ class World:
             second_hop_p=cfg.second_hop_p,
         )
         self.ledger = OverheadLedger()
-        self.pending: dict[tuple[int, int], list] = {}  # live round entry
+        self.pending: dict[tuple[int, int], int] = {}  # live round event key
         lo, hi = cfg.latency_ms_range  # (lo, n, bits) of `_send`'s inlined randint
         self._latency = (lo, hi - lo + 1, (hi - lo + 1).bit_length())
         self.probes: list[ProbeSample] = []

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topomon.engine import Engine, sample_exponential, sample_poisson, substream
+from topomon.engine import SEQ_LIMIT, Engine, sample_exponential, sample_poisson, substream
 
 
 def make_engine(seed: int = 1, trace=None) -> Engine:
@@ -161,6 +161,67 @@ def test_cancelled_entries_never_fire_nor_count(plan):
     live = sorted((d, i) for i, (d, cancel) in enumerate(plan) if not cancel)
     assert seen == [i for _, i in live]
     assert processed == eng.events_processed == len(live)
+
+
+queue_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("schedule"),
+            st.one_of(st.just(0), st.integers(0, 50), st.integers(0, 2**45)),
+        ),
+        st.tuples(st.just("cancel"), st.integers(0, 200)),
+        st.tuples(st.just("run"), st.one_of(st.integers(0, 60), st.integers(0, 2**46))),
+    ),
+    max_size=80,
+)
+
+
+@given(queue_ops)
+@settings(max_examples=300, deadline=None)
+def test_queue_matches_a_sorted_reference_under_cancels_and_steps(ops):
+    """Schedules, cancels (before and after firing) and run_until steps
+    against a model that keeps the pending (fire_at, seq) pairs sorted."""
+    eng = make_engine()
+    seen = []
+    eng.on("x", lambda i: seen.append((eng.now, i)))
+    handles = []
+    pending: dict[int, int] = {}  # seq -> fire_at, not yet fired or cancelled
+    fired = 0
+    for op, arg in ops:
+        if op == "schedule":
+            pending[len(handles)] = eng.now + arg
+            handles.append(eng.schedule(arg, "x", len(handles)))
+        elif op == "cancel" and handles:
+            i = arg % len(handles)
+            eng.cancel(handles[i])
+            pending.pop(i, None)
+        elif op == "run":
+            t = eng.now + arg
+            want = sorted((at, i) for i, at in pending.items() if at <= t)
+            del seen[:]
+            assert eng.run_until(t) == len(want)
+            assert seen == want
+            for _, i in want:
+                del pending[i]
+            fired += len(want)
+            assert eng.now == t
+        for i, h in enumerate(handles):
+            assert eng.due(h) == ((pending[i], "x") if i in pending else None)
+    assert eng.events_processed == fired
+
+
+def test_schedule_past_the_packing_limit_raises_and_never_misorders():
+    eng = make_engine()
+    seen = []
+    eng.on("x", lambda tag: seen.append((eng.now, tag)))
+    eng._seq = SEQ_LIMIT - 2  # as if that many events had been scheduled
+    late = eng.schedule(7, "x", "late")
+    early = eng.schedule(3, "x", "early")  # the last seq that packs
+    assert eng.due(late) == (7, "x") and eng.due(early) == (3, "x")
+    with pytest.raises(OverflowError):
+        eng.schedule(0, "x", "one too many")
+    assert eng.run_until(10) == 2
+    assert seen == [(3, "early"), (7, "late")]
 
 
 def test_causality_clock_matches_fire_time():

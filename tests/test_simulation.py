@@ -56,6 +56,10 @@ def test_config_validation_collects_problems():
         ({"duration_ms": -1, "probe_every_ms": 1}, "duration_ms must be >= 0"),
         ({"safe_rounds": -1}, "safe_rounds must be >= 0"),
         ({"f_max": POISSON_MAX_MEAN + 1}, f"f_max must be <= {POISSON_MAX_MEAN} in poisson mode"),
+        # a float delay cannot be packed into an event key
+        ({"round_timeout_ms": 1000.0}, "round_timeout_ms must be an integer"),
+        ({"probe_every_ms": 1000.0}, "probe_every_ms must be an integer"),
+        ({"nodes": 10.0}, "nodes must be an integer"),
     ],
 )
 def test_config_validation_rejects_hanging_or_wrong_configs(kw, problem):
@@ -287,7 +291,8 @@ class WorldMachine(RuleBasedStateMachine):
         w.engine.run_until(w.engine.now + step)
         # every due entry has fired, so the rest lie strictly ahead; only a
         # join's first scan is scheduled at `now` (see the invariant)
-        assert all(entry[0] > w.engine.now for entry in w.pending.values())
+        due = [w.engine.due(key) for key in w.pending.values()]
+        assert all(d is not None and d[0] > w.engine.now for d in due)
 
     @rule(target_population=st.integers(1, 8))
     def join_or_leave(self, target_population):
@@ -350,7 +355,9 @@ class WorldMachine(RuleBasedStateMachine):
                 assert all(row <= mon.nodes for row in rows.values())
             assert {k for k in w.pending if k[0] == mid} == {(mid, t) for t in live}
             for t in live:
-                fire_at, _, kind, _ = w.pending[(mid, t)]
+                due = w.engine.due(w.pending[(mid, t)])
+                assert due is not None  # neither fired nor cancelled
+                fire_at, kind = due
                 assert fire_at >= self.now  # a join schedules its first scan at delay 0
                 assert kind == ("round_timeout" if t in mon.rounds else "round_start")
 
