@@ -78,6 +78,9 @@ class ExperimentConfig:
         bad = [f"{f} must be finite" for f in _FLOAT_FIELDS if not math.isfinite(getattr(self, f))]
         # event keys pack integer ms, and counts must be whole
         bad += [f"{f} must be an integer" for f in _INT_FIELDS if not isinstance(getattr(self, f), int)]
+        bad += [f"{f} entries must be integers" for f in _INT_TUPLE_FIELDS
+                if not all(isinstance(x, int) for x in getattr(self, f) or ())]
+        bad += [f"{f} must be a bool" for f in _BOOL_FIELDS if not isinstance(getattr(self, f), bool)]
         for name, lo, hi in _BOUNDS:
             if not lo <= getattr(self, name) <= hi:
                 bound = f">= {lo}" if hi == math.inf else f"in [{lo}, {hi}]"
@@ -107,6 +110,8 @@ class ExperimentConfig:
 # computed once: World.__init__ calls validate() for every run
 _FLOAT_FIELDS = tuple(f.name for f in fields(ExperimentConfig) if f.type == "float")
 _INT_FIELDS = tuple(f.name for f in fields(ExperimentConfig) if f.type == "int")
+_INT_TUPLE_FIELDS = tuple(f.name for f in fields(ExperimentConfig) if f.type.startswith("tuple[int"))
+_BOOL_FIELDS = tuple(f.name for f in fields(ExperimentConfig) if f.type == "bool")
 # (field, lo, hi): each field must lie in [lo, hi], which reads ">= lo" when hi
 # is infinite; probe_every_ms >= 1 because the probe reschedules itself that far
 _BOUNDS = (
@@ -173,6 +178,8 @@ class World:
                 mode=cfg.scheduling_mode,
                 adaptive=cfg.adaptive,
             )
+        # monitors all join first, with rising ids: `self.monitors` iterates in id order
+        self._monitor_ids = frozenset(self.monitors)  # one set shared by every NodeState
         for _ in range(cfg.nodes):
             role = self.topo.steer_add_role(cfg.malicious_pct)
             self._node_joined(self.topo.add_node(role, self.engine.rng_topology))
@@ -190,15 +197,16 @@ class World:
         nid, topo = ev.node, self.topo
         state = NodeState(
             nid,
-            set(self.monitors),
+            self._monitor_ids,
             self.cfg.safe_rounds,
             outbound=topo.out[nid],
             inbound=topo.inb[nid],
         )
         self.nodes[nid] = state if ev.role is Role.HONEST else Adversary(state, self.policy)
-        self.engine.trace("join", nid, "-", ev.role.value)
-        for mid in sorted(self.monitors):
-            self.monitors[mid].node_discovered(nid)
+        if self.engine.tracing:
+            self.engine.trace("join", nid, "-", ev.role.value)
+        for mid, mon in self.monitors.items():
+            mon.node_discovered(nid)
             self._schedule_round(mid, nid, 0)
 
     def _node_left(self, ev: NodeRemoved) -> None:
@@ -208,9 +216,10 @@ class World:
         for p, _ in ev.rewired:
             self.nodes[p].forget(nid)
         del self.nodes[nid]
-        self.engine.trace("leave", nid, "-", ev.role.value)
-        for mid in sorted(self.monitors):
-            repair = self.monitors[mid].node_departed(nid)
+        if self.engine.tracing:
+            self.engine.trace("leave", nid, "-", ev.role.value)
+        for mid, mon in self.monitors.items():
+            repair = mon.node_departed(nid)
             self.engine.cancel(self.pending.pop((mid, nid)))
             for p in repair:
                 self.engine.cancel(self.pending[(mid, p)])
@@ -336,8 +345,7 @@ class World:
         self._schedule_churn()
 
     def global_snapshot(self):
-        views = [self.monitors[mid] for mid in sorted(self.monitors)]
-        return compute_global_snapshot(views)
+        return compute_global_snapshot(list(self.monitors.values()))
 
     def _on_probe(self) -> None:
         snap = self.global_snapshot()
@@ -348,10 +356,8 @@ class World:
         )
         if self.snapshot_sink is not None:
             now = self.engine.now
-            for mid in sorted(self.monitors):
-                edges = ",".join(
-                    f"{a}>{b}" for a, b in sorted(self.monitors[mid].edges)
-                )
+            for mid, mon in self.monitors.items():
+                edges = ",".join(f"{a}>{b}" for a, b in sorted(mon.edges))
                 self.snapshot_sink.write(f"{now}\tm{mid}\t{edges}\n")
             edges = ",".join(f"{a}>{b}" for a, b in sorted(snap.edges))
             self.snapshot_sink.write(f"{now}\tglobal\t{edges}\n")

@@ -7,6 +7,11 @@ edges unless explicitly requested. A live node's role changes only through
 `set_role`, which keeps the live malicious count that churn steers by, so a
 join never scans the population.
 
+`_alive` lists the live peer ids in ascending order (ids rise and are never
+reused): `add_node` appends the new id, `remove_node` deletes the departed
+one by bisection, and nothing else changes it. A join draws its targets
+straight from it, and `audit` checks it against the rows.
+
 `clique_version` moves whenever the subgraph among malicious nodes may have
 changed: a link between two malicious nodes opens or closes, a malicious
 node joins or leaves, or `set_role` runs. Honest-only changes and bans leave
@@ -15,6 +20,7 @@ it alone, so readers can cache what they derive from that subgraph.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 
@@ -75,6 +81,7 @@ class Topology:
         self.inb: dict[int, set[int]] = {}
         self.banned: dict[int, set[int]] = {}
         self.monitors: list[int] = []
+        self._alive: list[int] = []  # see the module docstring
         self.malicious_count = 0  # live MALICIOUS nodes; `audit` recounts it
         self.clique_version = 0  # see the module docstring
         self._next_id = 0
@@ -86,9 +93,8 @@ class Topology:
         self._next_id += 1
         return nid
 
-    # ids rise and are never reused, and monitors have no row: `out` is sorted
     def peers_alive(self) -> list[int]:
-        return list(self.out)
+        return self._alive[:]
 
     def malicious_alive(self) -> list[int]:
         return [n for n in self.out if self.roles[n] is Role.MALICIOUS]
@@ -112,10 +118,10 @@ class Topology:
         min(target_outbound, live peers) of the live peers."""
         if role is Role.MONITOR:
             raise ValueError("monitors join via add_monitor")
-        candidates = self.peers_alive()
-        k = min(self.target_outbound, len(candidates))
-        targets = tuple(sorted(rng.sample(candidates, k)))
+        alive = self._alive
+        targets = tuple(sorted(rng.sample(alive, min(self.target_outbound, len(alive)))))
         nid = self.new_id()
+        alive.append(nid)
         self.roles[nid] = role
         self.out[nid] = set()
         self.inb[nid] = set()
@@ -168,7 +174,7 @@ class Topology:
     def eligible_targets(self, source: int) -> list[int]:
         return [
             t
-            for t in self.peers_alive()
+            for t in self._alive
             if t != source
             and t not in self.out[source]
             and t not in self.inb[source]
@@ -188,6 +194,7 @@ class Topology:
         for p in orphans:
             self.out[p].discard(node)
         del self.roles[node], self.out[node], self.inb[node], self.banned[node]
+        del self._alive[bisect_left(self._alive, node)]
         self.malicious_count -= role is Role.MALICIOUS
         self.clique_version += role is Role.MALICIOUS
         rewired: list[tuple[int, int | None]] = []
@@ -256,6 +263,8 @@ class Topology:
             for b in row:
                 if b in self.out[a] or b in self.inb[a]:
                     bad.append(f"banned pair still connected {a}~{b}")
+        if self._alive != sorted(self.out):
+            bad.append("live id list differs from the ascending live ids")
         mal = sum(r is Role.MALICIOUS for r in self.roles.values())
         if mal != self.malicious_count:
             bad.append(f"malicious count {self.malicious_count}, recount {mal}")

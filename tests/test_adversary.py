@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from bisect import insort
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,10 @@ def make_policy(**kw) -> AdversaryPolicy:
 
 
 def join(topo: Topology, nid: int) -> None:
-    """Give nid its topology rows; a node seen for the first time is honest."""
+    """Give nid its topology rows and its place in the ascending live id
+    list; a node seen for the first time is honest."""
+    if nid not in topo.out:
+        insort(topo._alive, nid)
     topo.roles.setdefault(nid, Role.HONEST)
     for rows in (topo.out, topo.inb, topo.banned):
         rows.setdefault(nid, set())

@@ -60,6 +60,16 @@ def test_config_validation_collects_problems():
         ({"round_timeout_ms": 1000.0}, "round_timeout_ms must be an integer"),
         ({"probe_every_ms": 1000.0}, "probe_every_ms must be an integer"),
         ({"nodes": 10.0}, "nodes must be an integer"),
+        # a float latency bound or scan frequency reaches the key pack or
+        # `bit_length` and crashes, or runs on a fractional frequency
+        ({"latency_ms_range": (5.5, 50)}, "latency_ms_range entries must be integers"),
+        ({"monitors": 4, "monitor_f_init": (5.0, 5, 5, 5), "scheduling_mode": "fixed"},
+         "monitor_f_init entries must be integers"),
+        ({"monitors": 4, "monitor_f_init": (2.5, 5, 5, 5)}, "monitor_f_init entries must be integers"),
+        # any non-empty string is truthy, so "no" would run as True
+        ({"full_hiding": "no"}, "full_hiding must be a bool"),
+        ({"malicious_refill": 1}, "malicious_refill must be a bool"),
+        ({"adaptive": None}, "adaptive must be a bool"),
     ],
 )
 def test_config_validation_rejects_hanging_or_wrong_configs(kw, problem):
@@ -253,6 +263,51 @@ def test_small_population_runs_under_churn(kw):
     assert w.engine.now == 60_000
     assert w.topo.audit() == []
     assert w.topo.new_id() > w.cfg.monitors + w.cfg.nodes  # churn added nodes
+
+
+@st.composite
+def idle_worlds(draw) -> ExperimentConfig:
+    """Small static honest worlds whose round timeout outlasts a relay's three
+    hops (monitor -> target -> peer -> monitor), so every relay lands in its
+    round; with a shorter timeout late relays miss the close and rows flap."""
+    f_min, f_init, f_max = sorted(draw(st.lists(st.integers(1, 12), min_size=3, max_size=3)))
+    lo, hi = sorted(draw(st.lists(st.integers(0, 300), min_size=2, max_size=2)))
+    return ExperimentConfig(
+        nodes=draw(st.integers(1, 25)),
+        monitors=draw(st.integers(1, 5)),
+        variability_s=0.0,
+        malicious_pct=0.0,
+        duration_ms=60_000,
+        probe_every_ms=60_000,
+        latency_ms_range=(lo, hi),
+        round_timeout_ms=draw(st.integers(3 * hi + 1, 3 * hi + 2_000)),
+        f_min=f_min,
+        f_init=f_init,
+        f_max=f_max,
+        scheduling_mode=draw(st.sampled_from(SCHEDULING_MODES)),
+        seed=draw(st.integers(0, 2**16)),
+    )
+
+
+@given(idle_worlds())
+@settings(max_examples=60, deadline=None)
+def test_idle_rows_slow_down_one_step_per_round_to_f_max(cfg):
+    # the paper's adaptive scanning: once a row's round sees no change, no
+    # later round does, and its frequency climbs by one per round to f_max
+    w = World(cfg)
+    rounds: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+    for mon in w.monitors.values():
+        def adjust(target, c, mon=mon, inner=mon.adjust_frequency):
+            before = mon.freq[target]
+            inner(target, c)
+            rounds.setdefault((mon.id, target), []).append((c, before, mon.freq[target]))
+        mon.adjust_frequency = adjust
+    w.run()
+    assert len(rounds) == cfg.nodes * cfg.monitors  # every row closed a round
+    for log in rounds.values():
+        idle = next((i for i, (c, _, _) in enumerate(log) if c == 0), len(log))
+        for c, before, after in log[idle:]:
+            assert c == 0 and after == min(before + 1, cfg.f_max)
 
 
 # Small valid worlds: churn fast enough to replace every node many times,

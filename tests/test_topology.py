@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -236,6 +237,55 @@ def test_live_count_steers_like_the_population_rescan(nodes, frac, seed, targets
         events = [topo.churn_tick(target, frac, rng) for target in targets]
         runs.append((dict(topo.roles), events))
     assert runs[0] == runs[1]
+
+
+class RescanSample(Topology):
+    """Joins and rewiring before the live id list: each join samples a fresh
+    copy of the live ids read off the rows, and each rewire scans the rows."""
+
+    def add_node(self, role, rng):
+        live = list(self.out)
+        picks = rng.sample(live, min(self.target_outbound, len(live)))
+        # the base join then opens exactly these picks
+        return super().add_node(role, SimpleNamespace(sample=lambda population, k: picks))
+
+    def eligible_targets(self, source):
+        return [
+            t
+            for t in list(self.out)
+            if t != source
+            and t not in self.out[source]
+            and t not in self.inb[source]
+            and t not in self.banned[source]
+        ]
+
+
+@given(
+    nodes=st.integers(1, 40),  # a churn target of 0 is refused by validate()
+    seed=st.integers(0, 2**32),
+    ops=st.lists(
+        st.sampled_from(["honest", "malicious", "leave", "tick", "set_role"]), max_size=80
+    ),
+)
+@settings(max_examples=100, deadline=None)
+def test_live_list_draws_like_a_fresh_copy_of_the_rows(nodes, seed, ops):
+    runs, topos = [], (Topology(), RescanSample())
+    for topo in topos:
+        rng = random.Random(seed)
+        topo.add_monitor()
+        events = [topo.add_node(topo.steer_add_role(0.3), rng) for _ in range(nodes)]
+        for op in ops:
+            if op in ("honest", "malicious"):
+                events.append(topo.add_node(Role(op), rng))
+            elif op == "leave" and topo.population() > 0:
+                events.append(topo.remove_node(rng.choice(sorted(topo.out)), rng))
+            elif op == "tick":
+                events.append(topo.churn_tick(nodes, 0.3, rng))
+            elif op == "set_role" and topo.population() > 0:
+                topo.set_role(rng.choice(sorted(topo.out)), rng.choice([Role.HONEST, Role.MALICIOUS]))
+        runs.append((dict(topo.roles), events))
+    assert runs[0] == runs[1]
+    assert topos[0].audit() == []
 
 
 @given(
