@@ -19,27 +19,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 from typing import TextIO
 
 from .experiment import _num, run_experiment, run_sweep
 from .metrics import AuditRow, audit_overhead
 from .monitor import SCHEDULING_MODES
-from .simulation import ConfigInvalid, ExperimentConfig, World
-
-_BOOLS = {"true": True, "yes": True, "on": True, "1": True,
-          "false": False, "no": False, "off": False, "0": False}
-
-
-# Parsers are named for argparse's "invalid <name> value" message.
-def int_pair(text: str) -> tuple[int, int]:
-    lo, hi = (int(p) for p in text.split(","))
-    return (lo, hi)
-
-
-def int_list(text: str) -> tuple[int, ...] | None:
-    return None if text in ("", "none") else tuple(int(p) for p in text.split(","))
+from .simulation import CONFIG_FIELDS, CONFIG_TYPES, ConfigInvalid, ExperimentConfig, World
 
 
 def percent(text: str) -> float:
@@ -49,17 +36,6 @@ def percent(text: str) -> float:
 def float_list(text: str) -> list[float]:
     return [float(p) for p in text.split(",") if p.strip() != ""]
 
-
-# the parser of each ExperimentConfig field type, for config values and flags alike
-_PARSE = {
-    "int": int,
-    "float": float,
-    "bool": lambda text: _BOOLS[text.lower()],
-    "str": str,
-    "tuple[int, int]": int_pair,
-    "tuple[int, ...] | None": int_list,
-}
-_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 
 # (flag, field, argparse options); the first four rows are the short set
 _FLAGS = (
@@ -102,12 +78,12 @@ def load_config_file(path: str | Path) -> dict:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key = value")
         key, val = (part.strip() for part in line.split("=", 1))
-        kind = _TYPES.get(key)
+        kind = CONFIG_FIELDS.get(key)
         if kind is None:
-            valid = ", ".join(sorted(_TYPES))
+            valid = ", ".join(sorted(CONFIG_FIELDS))
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r} (valid: {valid})")
         try:
-            out[key] = _PARSE[kind](val)
+            out[key] = CONFIG_TYPES[kind][2](val)
         except (KeyError, ValueError):  # KeyError: not a boolean word
             raise ValueError(f"{path}:{lineno}: {key}: expected {kind}, got {val!r}") from None
     return out
@@ -115,7 +91,7 @@ def load_config_file(path: str | Path) -> dict:
 
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
     overrides = load_config_file(args.config) if getattr(args, "config", None) else {}
-    for name in _TYPES:  # each flag's dest is its field's name
+    for name in CONFIG_FIELDS:  # each flag's dest is its field's name
         if getattr(args, name, None) is not None:
             overrides[name] = getattr(args, name)
     cfg = replace(ExperimentConfig(), **overrides)
@@ -146,7 +122,7 @@ def _add_config_flags(p: argparse.ArgumentParser, *, full: bool = True) -> None:
     p.add_argument("--out", help="output directory (default $TOPOMON_OUT or .)")
     for flag, name, opts in _FLAGS if full else _FLAGS[:4]:
         if "action" not in opts:
-            opts = {"type": _PARSE[_TYPES[name]], **opts}
+            opts = {"type": CONFIG_TYPES[CONFIG_FIELDS[name]][2], **opts}
         p.add_argument(flag, dest=name, **opts)
 
 

@@ -32,13 +32,8 @@ def classify_edges(
     inferred: set[tuple[int, int]] | frozenset[tuple[int, int]],
     truth: set[tuple[int, int]] | frozenset[tuple[int, int]],
 ) -> ConfusionCounts:
-    inferred = set(inferred)
-    truth = set(truth)
-    return ConfusionCounts(
-        tp=len(inferred & truth),
-        fp=len(inferred - truth),
-        fn=len(truth - inferred),
-    )
+    tp = len(inferred & truth)
+    return ConfusionCounts(tp=tp, fp=len(inferred) - tp, fn=len(truth) - tp)
 
 
 def precision(c: ConfusionCounts) -> float | None:

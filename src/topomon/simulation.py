@@ -75,16 +75,18 @@ class ExperimentConfig:
     monitor_f_init: tuple[int, ...] | None = None  # per-monitor override
 
     def validate(self) -> list[str]:
-        bad = [f"{f} must be finite" for f in _FLOAT_FIELDS if not math.isfinite(getattr(self, f))]
-        # event keys pack integer ms, and counts must be whole
-        bad += [f"{f} must be an integer" for f in _INT_FIELDS if not isinstance(getattr(self, f), int)]
-        bad += [f"{f} entries must be integers" for f in _INT_TUPLE_FIELDS
-                if not all(isinstance(x, int) for x in getattr(self, f) or ())]
-        bad += [f"{f} must be a bool" for f in _BOOL_FIELDS if not isinstance(getattr(self, f), bool)]
+        """Every problem with this config, [] if none; never raises. A mistyped field
+        is all it reports: range and cross-field checks run once every type is right."""
+        bad = [f"{name} {CONFIG_TYPES[kind][1]}" for name, kind in CONFIG_FIELDS.items()
+               if not CONFIG_TYPES[kind][0](getattr(self, name))]
+        if bad:
+            return bad
         for name, lo, hi in _BOUNDS:
             if not lo <= getattr(self, name) <= hi:
                 bound = f">= {lo}" if hi == math.inf else f"in [{lo}, {hi}]"
                 bad.append(f"{name} must be {bound}")
+        if self.variability_s > 1e12:  # near 1e305 s the churn mean overflows a float
+            bad.append("variability_s must be <= 1e12")
         if not self.f_min <= self.f_init <= self.f_max:
             bad.append("need f_min <= f_init <= f_max")
         if self.scheduling_mode == "poisson" and self.f_max > POISSON_MAX_MEAN:
@@ -107,11 +109,36 @@ class ExperimentConfig:
         return bad
 
 
-# computed once: World.__init__ calls validate() for every run
-_FLOAT_FIELDS = tuple(f.name for f in fields(ExperimentConfig) if f.type == "float")
-_INT_FIELDS = tuple(f.name for f in fields(ExperimentConfig) if f.type == "int")
-_INT_TUPLE_FIELDS = tuple(f.name for f in fields(ExperimentConfig) if f.type.startswith("tuple[int"))
-_BOOL_FIELDS = tuple(f.name for f in fields(ExperimentConfig) if f.type == "bool")
+_BOOL_WORDS = {"true": True, "yes": True, "on": True, "1": True,
+               "false": False, "no": False, "off": False, "0": False}
+
+
+# Parsers are named for argparse's "invalid <name> value" message.
+def int_pair(text: str) -> tuple[int, int]:
+    lo, hi = (int(p) for p in text.split(","))
+    return (lo, hi)
+
+
+def int_list(text: str) -> tuple[int, ...] | None:
+    return None if text in ("", "none") else tuple(int(p) for p in text.split(","))
+
+
+# field annotation -> (check that a value has the type, which never raises;
+# validate()'s problem when it has not; parser of config-file and flag text).
+# A bool is not an int, and an int is a float.
+CONFIG_TYPES = {
+    "int": (lambda v: type(v) is int, "must be an integer", int),
+    "float": (lambda v: type(v) is int or type(v) is float and math.isfinite(v),
+              "must be finite", float),
+    "str": (lambda v: type(v) is str, "must be a string", str),
+    "bool": (lambda v: type(v) is bool, "must be a bool", lambda t: _BOOL_WORDS[t.lower()]),
+    "tuple[int, int]": (lambda v: type(v) is tuple and len(v) == 2
+                        and all(type(x) is int for x in v), "entries must be integers", int_pair),
+    "tuple[int, ...] | None": (
+        lambda v: v is None or type(v) is tuple and all(type(x) is int for x in v),
+        "entries must be integers", int_list),
+}
+CONFIG_FIELDS = {f.name: f.type for f in fields(ExperimentConfig)}  # field -> annotation
 # (field, lo, hi): each field must lie in [lo, hi], which reads ">= lo" when hi
 # is infinite; probe_every_ms >= 1 because the probe reschedules itself that far
 _BOUNDS = (

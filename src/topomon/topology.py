@@ -225,14 +225,15 @@ class Topology:
         self, target_population: int, malicious_fraction: float, rng: random.Random
     ) -> NodeAdded | NodeRemoved:
         """One network event, biased to hold population at the target:
-        below -> add, above -> remove, at target -> fair coin."""
+        below -> add, above -> remove, at target -> fair coin, except that an
+        empty population adds."""
         pop = self.population()
         if pop < target_population:
             add = True
         elif pop > target_population:
             add = False
         else:
-            add = rng.random() < 0.5
+            add = pop == 0 or rng.random() < 0.5
         if add:
             return self.add_node(self.steer_add_role(malicious_fraction), rng)
         return self.remove_node(self.steer_remove_node(malicious_fraction, rng), rng)

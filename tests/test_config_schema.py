@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import tempfile
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from topomon import cli
 from topomon.engine import POISSON_MAX_MEAN
-from topomon.simulation import ExperimentConfig
+from topomon.simulation import CONFIG_FIELDS, ConfigInvalid, ExperimentConfig, World
 
 DEFAULTS = ExperimentConfig()
 
@@ -77,6 +77,7 @@ def test_every_field_reads_back_its_default_from_a_config_file(tmp_path, name):
     cfile.write_text(f"{name} = {_render(default)}\n")
     got = cli.load_config_file(cfile)
     assert got == {name: default} and type(got[name]) is type(default)
+    assert replace(DEFAULTS, **got).validate() == []
 
 
 @pytest.mark.parametrize("flag,value,name,expected", FLAG_CASES)
@@ -240,3 +241,26 @@ configs = st.builds(
 @settings(max_examples=500, deadline=None)
 def test_validate_reports_the_same_problems_as_the_reference(cfg):
     assert set(cfg.validate()) == set(_reference_validate(cfg))
+
+
+# values of every type and shape, small enough that a config they leave valid builds fast
+any_value = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 64) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple),
+    max_leaves=8,
+)
+SMALL = ExperimentConfig(nodes=6, monitors=2, duration_ms=2_000, probe_every_ms=1_000)
+
+
+@given(st.dictionaries(st.sampled_from(sorted(CONFIG_FIELDS)), any_value, max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_validate_lists_problems_for_any_value_and_world_raises_only_config_invalid(kw):
+    cfg = replace(SMALL, **kw)
+    problems = cfg.validate()
+    assert isinstance(problems, list) and all(type(p) is str for p in problems)
+    try:
+        World(cfg)
+    except ConfigInvalid as exc:
+        assert exc.problems == problems
+    else:
+        assert problems == []

@@ -70,6 +70,20 @@ def test_config_validation_collects_problems():
         ({"full_hiding": "no"}, "full_hiding must be a bool"),
         ({"malicious_refill": 1}, "malicious_refill must be a bool"),
         ({"adaptive": None}, "adaptive must be a bool"),
+        # a value of the wrong type or shape is listed, not raised on
+        ({"nodes": "5"}, "nodes must be an integer"),
+        ({"nodes": True}, "nodes must be an integer"),  # it ran as one node
+        ({"f_init": None}, "f_init must be an integer"),
+        ({"share_hops": "2"}, "share_hops must be an integer"),
+        ({"variability_s": "1"}, "variability_s must be finite"),
+        ({"second_hop_p": None}, "second_hop_p must be finite"),
+        ({"latency_ms_range": (5,)}, "latency_ms_range entries must be integers"),
+        ({"latency_ms_range": None}, "latency_ms_range entries must be integers"),
+        ({"monitor_f_init": ("a",) * 4}, "monitor_f_init entries must be integers"),
+        ({"monitor_f_init": 5}, "monitor_f_init entries must be integers"),
+        # a larger mean churn gap overflowed World's churn draw
+        ({"variability_s": 1e306}, "variability_s must be <= 1e12"),
+        ({"variability_s": 10**400}, "variability_s must be <= 1e12"),
     ],
 )
 def test_config_validation_rejects_hanging_or_wrong_configs(kw, problem):

@@ -261,7 +261,7 @@ class RescanSample(Topology):
 
 
 @given(
-    nodes=st.integers(1, 40),  # a churn target of 0 is refused by validate()
+    nodes=st.integers(0, 40),
     seed=st.integers(0, 2**32),
     ops=st.lists(
         st.sampled_from(["honest", "malicious", "leave", "tick", "set_role"]), max_size=80
