@@ -23,7 +23,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import TextIO
 
-from .experiment import _num, run_experiment, run_sweep
+from .experiment import _num, run_experiment, run_sweep, sweep_grid
 from .metrics import AuditRow, audit_overhead
 from .monitor import SCHEDULING_MODES
 from .simulation import CONFIG_FIELDS, CONFIG_TYPES, ConfigInvalid, ExperimentConfig, World
@@ -160,6 +160,15 @@ def _fmt_pct(x: float | None) -> str:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     base = build_config(args)
+    # refuse a bad cell before any file is written or any worker starts
+    problems = dict.fromkeys(
+        f"sweep cell var={var:g} mal={pct:g}%: {problem}"
+        for (var, pct), configs in sweep_grid(args.vars, args.pcts, args.repeats, base)
+        for cfg in configs
+        for problem in cfg.validate()
+    )
+    if problems:
+        raise ConfigInvalid(list(problems))
     out = _out_dir(args)
     raw_path = out / "sweep_raw.csv"
     summary_path = out / "sweep_summary.csv"

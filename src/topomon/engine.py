@@ -1,8 +1,9 @@
-"""Deterministic discrete-event core: virtual clock, event queue, seeded RNG.
+"""Deterministic discrete-event core: virtual clock and event queue, plus
+the RNG substream and sampling helpers that callers draw from.
 
 All simulation time is integer milliseconds. Determinism contract: two engines
-built from the same seed that schedule the same work in the same order produce
-bit-identical event sequences, RNG draws, and trace output.
+that are given the same work in the same order fire the same events in the
+same order. The engine holds no seed, RNG or trace; the caller owns those.
 
 A scheduled event is one int key, `fire_at << SEQ_BITS | seq`, and the heap
 holds only keys: `seq` is unique and below `SEQ_LIMIT`, so key order is
@@ -17,7 +18,7 @@ import hashlib
 import math
 import random
 from heapq import heappop, heappush
-from typing import Any, Callable, TextIO
+from typing import Any, Callable
 
 SimTime = int  # milliseconds
 
@@ -70,26 +71,17 @@ class Engine:
 
     Handlers are registered per event kind; `schedule` enqueues, `run_until`
     drains in (fire_at, seq) order. Ties on fire_at resolve in scheduling
-    order, which is what makes runs reproducible.
+    order, which is what makes runs reproducible. It is only the loop: it
+    owns no seed, RNG or trace.
     """
 
-    def __init__(self, seed: int, trace: TextIO | None = None) -> None:
-        self.seed = seed
+    def __init__(self) -> None:
         self.now: SimTime = 0
         self._heap: list[int] = []  # event keys
         self._events: dict[int, tuple[str, tuple]] = {}  # key -> (kind, data)
         self._seq = 0
         self._handlers: dict[str, Callable[..., None]] = {}
-        self._trace = trace
-        self.tracing = trace is not None  # callers can skip building trace detail
         self.events_processed = 0
-        # Per-purpose RNG substreams. Keeping them separate means e.g. a
-        # different latency range cannot perturb churn timing.
-        self.rng_churn = substream(seed, "churn")
-        self.rng_latency = substream(seed, "latency")
-        self.rng_topology = substream(seed, "topology")
-        self.rng_sched = substream(seed, "sched")
-        self.rng_marker = substream(seed, "marker")
 
     def on(self, kind: str, handler: Callable[..., None]) -> None:
         self._handlers[kind] = handler
@@ -137,7 +129,3 @@ class Engine:
         self.now = t_end
         self.events_processed += processed
         return processed
-
-    def trace(self, kind: str, frm: Any = "-", to: Any = "-", detail: str = "") -> None:
-        if self._trace is not None:
-            self._trace.write(f"{self.now}\t{kind}\t{frm}\t{to}\t{detail}\n")

@@ -13,7 +13,6 @@ invocations produce byte-identical output.
 """
 from __future__ import annotations
 
-import itertools
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -182,6 +181,29 @@ def _run_one(cfg: ExperimentConfig) -> RunReport:
     return run_experiment(cfg)
 
 
+def sweep_grid(
+    variabilities: Sequence[float],
+    percentages: Sequence[float],
+    repeats: int,
+    base: ExperimentConfig | None = None,
+) -> list[tuple[tuple[float, float], list[ExperimentConfig]]]:
+    """Each `(variability, malicious%)` cell of the sweep in grid order, with
+    its `repeats` configs, seeded `base.seed + run_index`. Raises `EmptySweep`
+    when that makes no runs."""
+    if repeats < 1 or not variabilities or not percentages:
+        raise EmptySweep(
+            f"{len(variabilities)} variabilities x {len(percentages)} "
+            f"percentages x {repeats} repeats"
+        )
+    base = base or ExperimentConfig()
+    return [
+        ((var, pct), [replace(base, variability_s=var, malicious_pct=pct / 100.0,
+                              seed=base.seed + i) for i in range(repeats)])
+        for var in variabilities
+        for pct in percentages
+    ]
+
+
 def run_sweep(
     variabilities: Sequence[float],
     percentages: Sequence[float],
@@ -205,27 +227,17 @@ def run_sweep(
     """
     from concurrent.futures import BrokenExecutor  # lazy, as in `process_pool`
 
-    if repeats < 1 or not variabilities or not percentages:
-        raise EmptySweep(
-            f"{len(variabilities)} variabilities x {len(percentages)} "
-            f"percentages x {repeats} repeats"
-        )
-    base = base or ExperimentConfig()
-    cells = [(var, pct) for var in variabilities for pct in percentages]
-    configs = [
-        replace(base, variability_s=var, malicious_pct=pct / 100.0, seed=base.seed + i)
-        for var, pct in cells
-        for i in range(repeats)
-    ]
+    grid = sweep_grid(variabilities, percentages, repeats, base)
+    configs = [cfg for _, cell_configs in grid for cfg in cell_configs]
     report = SweepReport()
     if raw is not None:
         raw.write(CSV_HEADER + "\n")
     with process_pool(_run_one, configs) as futures:
-        pending = zip(configs, futures)
-        for var, pct in cells:
+        pending = iter(futures)
+        for (var, pct), cell_configs in grid:
             cell = ConfusionCounts(0, 0, 0)
             done = 0
-            for cfg, future in itertools.islice(pending, repeats):
+            for cfg, future in zip(cell_configs, pending):
                 if progress is not None:
                     progress(f"var={_num(var)} mal={_num(pct)}% seed={cfg.seed}")
                 try:

@@ -1,6 +1,10 @@
 """End-to-end simulation: one engine driving ground truth, monitors,
 honest nodes, and colluders.
 
+`World` owns what a run draws and records: one RNG substream of `cfg.seed`
+per purpose, and the optional trace, written by `_trace`. The engine is only
+the event loop.
+
 Event flow per scan: a round-start event sends the marker to the target;
 the matching timeout event, `round_timeout_ms` later, calls the monitor's
 `close_round`, sends the confirmation list it returns to the target, and
@@ -163,19 +167,23 @@ class World:
         if problems:
             raise ConfigInvalid(problems)
         self.cfg = cfg
-        self.engine = Engine(cfg.seed, trace=trace_sink)
+        self.engine = Engine()
+        self.trace_sink = trace_sink
         self.snapshot_sink = snapshot_sink
+        # Per-purpose RNG substreams, so that e.g. a different latency range
+        # cannot perturb churn timing.
+        self.rng_churn = substream(cfg.seed, "churn")
+        self.rng_latency = substream(cfg.seed, "latency")
+        self.rng_topology = substream(cfg.seed, "topology")
+        self.rng_sched = substream(cfg.seed, "sched")
+        self.rng_marker = substream(cfg.seed, "marker")
+        rng_adversary = substream(cfg.seed, "adversary")
         self.topo = Topology(cfg.outbound_per_node)
         self.churn_mean_ms = max(1, int(cfg.variability_s * 1000))
         self.nodes: dict[int, NodeState | Adversary] = {}
         self.monitors: dict[int, Monitor] = {}
-        self.policy = AdversaryPolicy(
-            self.topo,
-            substream(cfg.seed, "adversary"),
-            full_hiding=cfg.full_hiding,
-            share_hops=cfg.share_hops,
-            second_hop_p=cfg.second_hop_p,
-        )
+        self.policy = AdversaryPolicy(self.topo, rng_adversary, full_hiding=cfg.full_hiding,
+                                      share_hops=cfg.share_hops, second_hop_p=cfg.second_hop_p)
         self.ledger = OverheadLedger()
         self.pending: dict[tuple[int, int], int] = {}  # live round event key
         lo, hi = cfg.latency_ms_range  # (lo, n, bits) of `_send`'s inlined randint
@@ -209,7 +217,7 @@ class World:
         self._monitor_ids = frozenset(self.monitors)  # one set shared by every NodeState
         for _ in range(cfg.nodes):
             role = self.topo.steer_add_role(cfg.malicious_pct)
-            self._node_joined(self.topo.add_node(role, self.engine.rng_topology))
+            self._node_joined(self.topo.add_node(role, self.rng_topology))
         if cfg.variability_s > 0:
             self._schedule_churn()
         self.engine.schedule(cfg.probe_every_ms, "probe")  # validate(): within duration_ms
@@ -230,8 +238,8 @@ class World:
             inbound=topo.inb[nid],
         )
         self.nodes[nid] = state if ev.role is Role.HONEST else Adversary(state, self.policy)
-        if self.engine.tracing:
-            self.engine.trace("join", nid, "-", ev.role.value)
+        if self.trace_sink is not None:
+            self._trace("join", nid, "-", ev.role.value)
         for mid, mon in self.monitors.items():
             mon.node_discovered(nid)
             self._schedule_round(mid, nid, 0)
@@ -243,8 +251,8 @@ class World:
         for p, _ in ev.rewired:
             self.nodes[p].forget(nid)
         del self.nodes[nid]
-        if self.engine.tracing:
-            self.engine.trace("leave", nid, "-", ev.role.value)
+        if self.trace_sink is not None:
+            self._trace("leave", nid, "-", ev.role.value)
         for mid, mon in self.monitors.items():
             repair = mon.node_departed(nid)
             self.engine.cancel(self.pending.pop((mid, nid)))
@@ -264,13 +272,17 @@ class World:
     def open_edge(self, a: int, b: int) -> None:
         """Ground-truth mutation without any notification; scans must find it."""
         self.topo.open_connection(a, b)
-        self.engine.trace("edge_open", a, b)
+        self._trace("edge_open", a, b)
 
     def close_edge(self, a: int, b: int) -> None:
         self.topo.close_connection(a, b)
         self.nodes[a].forget(b)
         self.nodes[b].forget(a)
-        self.engine.trace("edge_close", a, b)
+        self._trace("edge_close", a, b)
+
+    def _trace(self, kind: str, frm, to="-", detail: str = "") -> None:
+        if self.trace_sink is not None:
+            self.trace_sink.write(f"{self.engine.now}\t{kind}\t{frm}\t{to}\t{detail}\n")
 
     # -- scan scheduling ---------------------------------------------------------
 
@@ -280,14 +292,14 @@ class World:
         )
 
     def _on_round_start(self, mid: int, target: int) -> None:
-        marker = self.monitors[mid].start_round(target, self.engine.rng_marker)
+        marker = self.monitors[mid].start_round(target, self.rng_marker)
         self.pending[(mid, target)] = self.engine.schedule(
             self.cfg.round_timeout_ms, "round_timeout", mid, target
         )
         self._send([(mid, target, marker)], "marker_from_monitor")
 
     def _on_round_timeout(self, mid: int, target: int) -> None:
-        msg, delay = self.monitors[mid].close_round(target, self.engine.rng_sched)
+        msg, delay = self.monitors[mid].close_round(target, self.rng_sched)
         self._send([(mid, target, msg)], "verified")
         self._schedule_round(mid, target, max(0, delay - self.cfg.round_timeout_ms))
 
@@ -298,7 +310,7 @@ class World:
         relay burst (no `kind`) goes as `marker_to_monitor` or
         `marker_forwarded` by its recipient."""
         lo, n, k = self._latency
-        getrandbits = self.engine.rng_latency.getrandbits
+        getrandbits = self.rng_latency.getrandbits
         count, schedule, mons = self.ledger.count, self.engine.schedule, self.monitors
         for frm, to, payload in msgs:
             # randint(lo, hi) as CPython draws it, by rejection over getrandbits
@@ -310,26 +322,24 @@ class World:
             schedule(lo + r, "deliver", hop, frm, to, payload)
 
     def _on_deliver(self, kind: str, frm: int, to: int, payload) -> None:
-        tracing = self.engine.tracing  # trace details are built only when kept
+        tracing = self.trace_sink is not None  # trace details are built only when kept
         mon = self.monitors.get(to)
         if mon is not None:
             accepted = mon.receive_marker(frm, payload)
             if tracing:
-                self.engine.trace(
-                    kind, frm, to, f"{payload.target}:{payload.value}:{int(accepted)}"
-                )
+                self._trace(kind, frm, to, f"{payload.target}:{payload.value}:{int(accepted)}")
             return
         if to not in self.nodes:
             return  # recipient departed while the message was in flight
         if kind == "verified":
             if tracing:
                 peers = ",".join(str(p) for p in sorted(payload.verified_peers))
-                self.engine.trace(kind, frm, to, peers)
+                self._trace(kind, frm, to, peers)
             for act in self.nodes[to].handle_verified(frm, payload):
                 self._apply_disconnect(to, act.peer)
             return
         if tracing:
-            self.engine.trace(kind, frm, to, f"{payload.target}:{payload.value}")
+            self._trace(kind, frm, to, f"{payload.target}:{payload.value}")
         self._send(self.nodes[to].handle_marker(frm, payload))
 
     # -- enforcement -----------------------------------------------------------------
@@ -342,7 +352,7 @@ class World:
         edge = (owner, peer) if peer in self.topo.out[owner] else (peer, owner)
         self.topo.close_connection(*edge)
         self.topo.ban(owner, peer)
-        self.engine.trace("disconnect", owner, peer, f"edge={edge[0]}>{edge[1]}")
+        self._trace("disconnect", owner, peer, f"edge={edge[0]}>{edge[1]}")
         self._refill(edge[0])
 
     def _refill(self, nid: int) -> None:
@@ -352,19 +362,19 @@ class World:
             choices = self.topo.eligible_targets(nid)
             if not choices:
                 return
-            t = self.engine.rng_topology.choice(choices)
+            t = self.rng_topology.choice(choices)
             self.topo.open_connection(nid, t)
-            self.engine.trace("refill", nid, t)
+            self._trace("refill", nid, t)
 
     # -- background processes -----------------------------------------------------------
 
     def _schedule_churn(self) -> None:
-        delay = sample_exponential(self.engine.rng_churn, self.churn_mean_ms)
+        delay = sample_exponential(self.rng_churn, self.churn_mean_ms)
         self.engine.schedule(delay, "churn")
 
     def _on_churn(self) -> None:
         cfg = self.cfg
-        ev = self.topo.churn_tick(cfg.nodes, cfg.malicious_pct, self.engine.rng_churn)
+        ev = self.topo.churn_tick(cfg.nodes, cfg.malicious_pct, self.rng_churn)
         if isinstance(ev, NodeAdded):
             self._node_joined(ev)
         else:

@@ -1,6 +1,8 @@
 """Command-line behavior: artifacts on disk, override precedence, exit codes."""
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -119,6 +121,23 @@ def test_sweep_writes_raw_and_summary(tmp_path, capsys):
     summary = (tmp_path / "sweep_summary.csv").read_text().splitlines()
     assert len(raw) == 1 + 2 * 2 and len(summary) == 1 + 2
     assert "raw ->" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "flag, value, problem",
+    [
+        ("--pcts", "150", "mal=150%: malicious_pct must be in [0, 1]"),
+        ("--vars", "-1", "var=-1 mal=0%: variability_s must be >= 0"),
+        ("--vars", "nan", "var=nan mal=0%: variability_s must be finite"),
+    ],
+    ids=("pcts-150", "vars-minus-1", "vars-nan"),
+)
+def test_sweep_refuses_a_bad_grid_value_before_any_work(tmp_path, capsys, flag, value, problem):
+    assert main(["sweep", flag, value, "--repeats", "1", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: sweep cell var=") and problem in err
+    assert list(tmp_path.iterdir()) == []
+    assert multiprocessing.active_children() == []
 
 
 def test_empty_sweep_exits_2(tmp_path):

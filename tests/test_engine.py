@@ -1,7 +1,6 @@
 """Event-queue semantics and sampler distributions for the sim core."""
 from __future__ import annotations
 
-import io
 import math
 import random
 
@@ -12,8 +11,8 @@ from hypothesis import strategies as st
 from topomon.engine import SEQ_LIMIT, Engine, sample_exponential, sample_poisson, substream
 
 
-def make_engine(seed: int = 1, trace=None) -> Engine:
-    return Engine(seed, trace=trace)
+def make_engine() -> Engine:
+    return Engine()
 
 
 # -- queue ordering ----------------------------------------------------------
@@ -281,20 +280,3 @@ def test_exponential_deterministic_under_seed():
     xs = [sample_exponential(random.Random(5), 300.0) for _ in range(4)]
     ys = [sample_exponential(random.Random(5), 300.0) for _ in range(4)]
     assert xs == ys
-
-
-# -- trace hook --------------------------------------------------------------
-
-
-def test_trace_lines_are_tab_separated_and_stamped():
-    buf = io.StringIO()
-    eng = make_engine(trace=buf)
-    eng.on("deliver", lambda: eng.trace("deliver", 3, 7, "marker"))
-    eng.schedule(42, "deliver")
-    eng.run_until(50)
-    assert buf.getvalue() == "42\tdeliver\t3\t7\tmarker\n"
-
-
-def test_trace_disabled_by_default():
-    eng = make_engine()
-    eng.trace("deliver", 1, 2, "noop")  # must not blow up without a sink

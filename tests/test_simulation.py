@@ -38,6 +38,16 @@ def small(**kw) -> ExperimentConfig:
     return ExperimentConfig(**base)
 
 
+def unlinked_pair(w: World) -> tuple[int, int]:
+    nodes = sorted(w.nodes)
+    return next(
+        (x, y)
+        for x in nodes
+        for y in nodes
+        if x != y and y not in w.nodes[x].peers() and x not in w.nodes[y].peers()
+    )
+
+
 def test_config_validation_collects_problems():
     bad = ExperimentConfig(nodes=0, monitors=0, malicious_pct=1.5, f_min=9, f_max=2)
     problems = bad.validate()
@@ -112,7 +122,7 @@ def test_latency_draws_match_randint(bounds):
     w.engine.schedule = lambda delay, kind, *data: delays.append(delay)
     w._send([(0, 5, None)] * 300, "verified")  # one burst
     assert delays == [ref.randint(*bounds) for _ in range(300)]
-    assert w.engine.rng_latency.getstate() == ref.getstate()
+    assert w.rng_latency.getstate() == ref.getstate()
 
 
 def test_config_invalid_survives_pickling():
@@ -179,6 +189,26 @@ def test_different_seeds_diverge():
         return sink.getvalue()
 
     assert trace_of(1) != trace_of(2)
+
+
+def test_trace_lines_are_tab_separated_and_stamped():
+    sink = io.StringIO()
+    w = World(small(), trace_sink=sink)
+    w.engine.run_until(1_234)
+    a, b = unlinked_pair(w)
+    before = len(sink.getvalue())
+    w.open_edge(a, b)
+    assert sink.getvalue()[before:] == f"1234\tedge_open\t{a}\t{b}\t\n"
+
+
+def test_world_without_trace_sink_runs_the_same_calls():
+    w = World(small())
+    w.engine.run_until(1_234)
+    a, b = unlinked_pair(w)
+    w.open_edge(a, b)  # must not blow up without a sink
+    w.close_edge(a, b)
+    w.run()
+    assert w.trace_sink is None
 
 
 def test_global_snapshot_matches_truth_in_honest_world():
@@ -252,14 +282,7 @@ def test_manual_edge_close_disappears_from_monitor_views():
 
 def test_manual_edge_open_appears_in_monitor_views():
     w = World(small(f_init=1, duration_ms=6_000, probe_every_ms=6_000))
-    nodes = sorted(w.nodes)
-    pair = next(
-        (x, y)
-        for x in nodes
-        for y in nodes
-        if x != y and y not in w.nodes[x].peers() and x not in w.nodes[y].peers()
-    )
-    a, b = pair
+    a, b = unlinked_pair(w)
     w.engine.on("test_open", lambda: w.open_edge(a, b))
     w.engine.schedule(2_500, "test_open")
     w.run()
@@ -324,6 +347,90 @@ def test_idle_rows_slow_down_one_step_per_round_to_f_max(cfg):
             assert c == 0 and after == min(before + 1, cfg.f_max)
 
 
+@st.composite
+def valid_worlds(draw) -> ExperimentConfig:
+    """Small configs that `validate()` accepts, drawn over every field a run
+    reads: churn, colluders of every shape, and latencies past the timeout."""
+    f_min, f_init, f_max = sorted(draw(st.lists(st.integers(1, 4), min_size=3, max_size=3)))
+    lo, hi = sorted(draw(st.lists(st.integers(0, 400), min_size=2, max_size=2)))
+    duration = draw(st.integers(1, 20_000))
+    cfg = ExperimentConfig(
+        nodes=draw(st.integers(1, 10)),
+        monitors=draw(st.integers(1, 3)),
+        outbound_per_node=draw(st.integers(0, 4)),
+        variability_s=draw(st.sampled_from([0.0, 0.001, 0.05, 0.4, 2.0])),
+        malicious_pct=draw(st.sampled_from([0.0, 0.2, 0.5, 1.0])),
+        duration_ms=duration,
+        probe_every_ms=draw(st.integers(1, duration)),
+        round_timeout_ms=draw(st.sampled_from([1, 7, 300, 1_000, 4_000])),
+        f_init=f_init,
+        f_min=f_min,
+        f_max=f_max,
+        safe_rounds=draw(st.integers(0, 3)),
+        scheduling_mode=draw(st.sampled_from(SCHEDULING_MODES)),
+        seed=draw(st.integers(0, 2**16)),
+        latency_ms_range=(lo, hi),
+        full_hiding=draw(st.booleans()),
+        share_hops=draw(st.integers(1, 2)),
+        second_hop_p=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        malicious_refill=draw(st.booleans()),
+        adaptive=draw(st.booleans()),
+    )
+    assert cfg.validate() == []
+    return cfg
+
+
+@given(valid_worlds())
+@settings(max_examples=150, deadline=None)
+def test_event_count_stays_within_the_closed_form_bound(cfg):
+    """Events fired by a run of N = nodes, M = monitors, o = outbound_per_node,
+    T = round_timeout_ms, D = duration_ms, P = probe_every_ms, with J joins
+    by churn:
+
+    - probe: one at each multiple of P up to D, so D // P.
+    - churn: each tick is a join or a leave. The population starts at N and a
+      tick adds below N, removes above N and flips a coin at N, so it never
+      falls below N - 1: leaves <= J + 1, and ticks <= 2J + 1.
+    - round_start: a (monitor, node) pair opens its first round when the node
+      joins, and starts lie at least T apart (the next start is scheduled no
+      sooner than the close, T after the start, and a repair scan replaces
+      only a waiting start), so a pair has at most D // T + 1 rounds. There
+      are M (N + J) pairs. round_timeout: at most one per round_start.
+    - deliver: every message comes from one round. Live colluders number at
+      most C, where C = 0 without colluders and C = N + 1 (the population
+      bound above) with them. A round delivers the marker and the list to
+      the target (2); an honest target forwards to at most o outbound peers,
+      each of which relays once if honest or fabricates at most C relays
+      through the clique if malicious (o + o max(1, C)); a colluding target
+      forwards to at most o honest peers, which relay once each, and its
+      adjacent colluders fabricate at most C relays (2o + C). So a round
+      delivers at most W = 2 + o + o max(1, C) + C messages.
+
+    Hence events <= D // P + 2J + 1 + M (N + J) (D // T + 1) (2 + W).
+    """
+    w = World(cfg)
+    fired = dict.fromkeys(("probe", "churn", "round_start", "round_timeout", "deliver"), 0)
+    for kind, handler in list(w.engine._handlers.items()):
+        def counted(*data, kind=kind, handler=handler):
+            fired[kind] += 1
+            handler(*data)
+        w.engine.on(kind, counted)
+    w.run()
+    n, m, o, t, d = (cfg.nodes, cfg.monitors, cfg.outbound_per_node,
+                     cfg.round_timeout_ms, cfg.duration_ms)
+    joins = w.topo.new_id() - m - n  # ids rise and are never reused
+    c = 0 if cfg.malicious_pct == 0 else n + 1
+    rounds = m * (n + joins) * (d // t + 1)
+    per_round = 2 + o + o * max(1, c) + c
+    assert sum(fired.values()) == w.engine.events_processed
+    assert fired["probe"] == d // cfg.probe_every_ms
+    assert fired["churn"] <= 2 * joins + 1
+    assert fired["round_timeout"] <= fired["round_start"] <= rounds
+    assert fired["deliver"] <= rounds * per_round
+    bound = d // cfg.probe_every_ms + 2 * joins + 1 + rounds * (2 + per_round)
+    assert w.engine.events_processed <= bound
+
+
 # Small valid worlds: churn fast enough to replace every node many times,
 # colluders, and round timeouts longer than the shortest scan period, so
 # repair scans land inside open rounds.
@@ -367,7 +474,7 @@ class WorldMachine(RuleBasedStateMachine):
     def join_or_leave(self, target_population):
         # what `_on_churn` does, without scheduling more churn
         w = self.w
-        ev = w.topo.churn_tick(target_population, w.cfg.malicious_pct, w.engine.rng_churn)
+        ev = w.topo.churn_tick(target_population, w.cfg.malicious_pct, w.rng_churn)
         if isinstance(ev, NodeAdded):
             w._node_joined(ev)
         else:
