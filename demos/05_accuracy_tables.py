@@ -6,6 +6,7 @@ graceful recall decay under collusion, and precision falling faster than
 recall once the clique is large.  Budget roughly half a minute.
 """
 from topomon.experiment import run_sweep
+from topomon.metrics import precision, recall
 from topomon.simulation import ExperimentConfig
 
 VARS = [10.0, 5.0, 1.0]
@@ -21,8 +22,8 @@ print(f"\nprecision / recall, pooled over 2 seeds\n\nvar{header}")
 for var in VARS:
     row = []
     for pct in PCTS:
-        c = cells[(var, pct)]
-        row.append(f"{100 * c.precision:5.1f} /{100 * c.recall:5.1f}")
+        c = cells[(var, pct)].totals
+        row.append(f"{100 * precision(c):5.1f} /{100 * recall(c):5.1f}")
     print(f"{int(var):3}" + "".join(f"{cell:>16}" for cell in row))
 print("\n(one-decimal percentages; full protocol runs 5 seeds per cell via "
       "`topomon sweep`)")

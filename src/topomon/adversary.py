@@ -116,7 +116,7 @@ class Adversary:
             return self._single(sender, m)
         return self._worst_case(sender, m)
 
-    def handle_verified(self, sender: int, v) -> list:
+    def handle_verified(self, sender: int, v) -> list[int]:
         return []  # no reputation enforcement on the adversary's side
 
     def forget(self, peer: int) -> None:

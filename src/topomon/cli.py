@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import TextIO
 
 from .experiment import _num, run_experiment, run_sweep, sweep_grid
-from .metrics import AuditRow, audit_overhead
+from .metrics import AuditRow, audit_overhead, precision, recall
 from .monitor import SCHEDULING_MODES
 from .simulation import CONFIG_FIELDS, CONFIG_TYPES, ConfigInvalid, ExperimentConfig, World
 
@@ -148,7 +148,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     c = report.totals
     print(
         f"probes={len(report.samples)} tp={c.tp} fp={c.fp} fn={c.fn} "
-        f"precision={_fmt_pct(report.precision)} recall={_fmt_pct(report.recall)} "
+        f"precision={_fmt_pct(precision(c))} recall={_fmt_pct(recall(c))} "
         f"-> {csv_path}"
     )
     return 0
@@ -186,7 +186,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     for cell in report.cells:
         print(
             f"var={_num(cell.variability_s)}s malicious={_num(cell.malicious_pct)}%: "
-            f"precision={_fmt_pct(cell.precision)} recall={_fmt_pct(cell.recall)} "
+            f"precision={_fmt_pct(precision(cell.totals))} recall={_fmt_pct(recall(cell.totals))} "
             f"({cell.runs} runs)"
         )
     print(f"raw -> {raw_path}\nsummary -> {summary_path}")

@@ -43,10 +43,7 @@ def _pct(x: float | None) -> str:
 
 
 def pooled(samples: Iterable[ProbeSample]) -> ConfusionCounts:
-    total = ConfusionCounts(0, 0, 0)
-    for s in samples:
-        total = total + ConfusionCounts(s.tp, s.fp, s.fn)
-    return total
+    return sum(samples, ConfusionCounts(0, 0, 0))
 
 
 @dataclass(frozen=True)
@@ -54,14 +51,6 @@ class RunReport:
     config: ExperimentConfig
     samples: tuple[ProbeSample, ...]
     totals: ConfusionCounts
-
-    @property
-    def precision(self) -> float | None:
-        return precision(self.totals)
-
-    @property
-    def recall(self) -> float | None:
-        return recall(self.totals)
 
 
 def _row(cfg: ExperimentConfig, time_ms: int, c: ConfusionCounts) -> str:
@@ -93,7 +82,7 @@ def run_experiment(
     if raw is not None:
         raw.write(CSV_HEADER + "\n")
         for s in samples:
-            raw.write(_row(cfg, s.time_ms, ConfusionCounts(s.tp, s.fp, s.fn)) + "\n")
+            raw.write(_row(cfg, s.time_ms, s) + "\n")
     return RunReport(cfg, tuple(samples), pooled(samples))
 
 
@@ -103,14 +92,6 @@ class CellSummary:
     malicious_pct: float
     totals: ConfusionCounts
     runs: int
-
-    @property
-    def precision(self) -> float | None:
-        return precision(self.totals)
-
-    @property
-    def recall(self) -> float | None:
-        return recall(self.totals)
 
 
 @dataclass
@@ -135,7 +116,8 @@ def process_pool(fn: Callable, items: Sequence) -> Iterator[list]:
     No worker process outlives the block."""
     import concurrent.futures  # imported here: ~2 MB that only pools need
 
-    workers = min(len(os.sched_getaffinity(0)), len(items))
+    affinity = getattr(os, "sched_getaffinity", None)  # missing on macOS and Windows
+    workers = min(len(affinity(0)) if affinity else os.cpu_count() or 1, len(items))
     size = -(-len(items) // (64 * workers))
     chunks = [items[i : i + size] for i in range(0, len(items), size)]
     with concurrent.futures.ProcessPoolExecutor(workers) as pool:
@@ -257,6 +239,7 @@ def run_sweep(
     if summary is not None:
         summary.write(SUMMARY_HEADER + "\n")
         for c in report.cells:
-            cols = (_num(c.variability_s), _num(c.malicious_pct), _pct(c.precision), _pct(c.recall))
+            cols = (_num(c.variability_s), _num(c.malicious_pct),
+                    _pct(precision(c.totals)), _pct(recall(c.totals)))
             summary.write(",".join(cols) + "\n")
     return report

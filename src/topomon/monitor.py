@@ -26,7 +26,7 @@ re-scans of every node whose row pointed at the departed peer.
 from __future__ import annotations
 
 import random
-from collections.abc import Set as AbstractSet
+from collections.abc import KeysView, Set as AbstractSet
 from dataclasses import dataclass
 
 from topomon.engine import sample_poisson
@@ -76,16 +76,18 @@ class Monitor:
         self.f_max = f_max
         self.mode = mode
         self.adaptive = adaptive
-        self.nodes: set[int] = set()
         self.out: dict[int, set[int]] = {}
         self.inb: dict[int, set[int]] = {}
-        self.freq: dict[int, int] = {}
+        self.freq: dict[int, int] = {}  # its keys are the monitored nodes
         self.rounds: dict[int, Round] = {}
 
     # -- membership ----------------------------------------------------------
 
+    @property
+    def nodes(self) -> KeysView[int]:  # the monitored nodes, read-only
+        return self.freq.keys()
+
     def node_discovered(self, n: int) -> None:
-        self.nodes.add(n)
         self.freq[n] = self.f_init
 
     def node_departed(self, n: int) -> list[int]:
@@ -93,7 +95,6 @@ class Monitor:
         to it and have no open round, to scan right away: the departed peer's
         replacement edges are already live in the ground truth. An open round
         on such a row is flagged, so `close_round` asks for the repair scan."""
-        self.nodes.discard(n)
         self.freq.pop(n, None)
         self.rounds.pop(n, None)
         scan_now = []
@@ -136,7 +137,7 @@ class Monitor:
         rnd = self.rounds.get(target)
         if rnd is None or m.monitor != self.id or m.value != rnd.value:
             return False
-        if sender == target or sender == self.id or sender not in self.nodes:
+        if sender == target or sender == self.id or sender not in self.freq:
             return False
         rnd.collected.add(sender)
         # confirmed link, visible at once; a row is built only when missing
@@ -172,7 +173,7 @@ class Monitor:
         """Rewrite the target's outbound row from the collected set and
         return how many edges changed against `prior`, the pre-round row.
         Only the mirror rows of peers entering or leaving the row are touched."""
-        row = self.nodes.intersection(collected)
+        row = self.freq.keys() & collected
         old = self.out.get(target, frozenset())
         for b in old - row:
             self.inb[b].discard(target)
@@ -210,9 +211,7 @@ class Monitor:
 
 @dataclass(frozen=True)
 class GlobalSnapshot:
-    nodes: frozenset[int]
     edges: frozenset[tuple[int, int]]
-    monitor_count: int
 
 
 def compute_global_snapshot(views: list[Monitor]) -> GlobalSnapshot:
@@ -220,14 +219,11 @@ def compute_global_snapshot(views: list[Monitor]) -> GlobalSnapshot:
     if not views:
         raise EmptyInput("no local views")
     gamma = len(views)
-    nodes: set[int] = set()
     tally: dict[tuple[int, int], int] = {}
     for v in views:
-        nodes |= v.nodes
         for e in v.edges:
             tally[e] = tally.get(e, 0) + 1
-    edges = frozenset(e for e, k in tally.items() if 2 * k > gamma)
-    return GlobalSnapshot(frozenset(nodes), edges, gamma)
+    return GlobalSnapshot(frozenset(e for e, k in tally.items() if 2 * k > gamma))
 
 
 def max_error_window(freqs: list[int]) -> int:

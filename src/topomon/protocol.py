@@ -12,7 +12,8 @@ every monitor has reported safe_rounds times for that peer.
 A node's `outbound` and `inbound` sets are its rows of the ground-truth
 `Topology`, shared by reference; the node owns only one reputation record
 per reported peer. Honest and malicious nodes answer through the same two
-calls: `handle_marker` returns `Send`s, `handle_verified` `Disconnect`s.
+calls: `handle_marker` returns `Send`s, and `handle_verified` the sorted ids
+of the peers to disconnect.
 """
 from __future__ import annotations
 
@@ -39,10 +40,6 @@ class Send(NamedTuple):
     sender: int  # node the message is attributed to
     to: int
     marker: Marker
-
-
-class Disconnect(NamedTuple):
-    peer: int
 
 
 class UnknownPeer(Exception):
@@ -102,7 +99,7 @@ class NodeState:
         rec = self.tallies.get(peer)
         return rec is not None and rec[0] == 0 and 2 * rec[1] >= len(self.monitors)
 
-    def handle_verified(self, from_monitor: int, v: VerifiedMsg) -> list[Disconnect]:
+    def handle_verified(self, from_monitor: int, v: VerifiedMsg) -> list[int]:
         if from_monitor not in self.monitors:
             return []  # unknown sender, dropped
         tallies, safe, verified = self.tallies, self.safe_rounds, v.verified_peers
@@ -127,4 +124,4 @@ class NodeState:
             if rec[0] == 0 and 2 * rec[1] >= n:
                 cut.append(p)
         cut.sort()
-        return [Disconnect(p) for p in cut]
+        return cut

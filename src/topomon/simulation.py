@@ -36,7 +36,7 @@ from dataclasses import dataclass, fields
 
 from topomon.adversary import Adversary, AdversaryPolicy, SingleBehavior
 from topomon.engine import POISSON_MAX_MEAN, Engine, sample_exponential, substream
-from topomon.metrics import OverheadLedger, classify_edges
+from topomon.metrics import ConfusionCounts, OverheadLedger, classify_edges
 from topomon.monitor import SCHEDULING_MODES, Monitor, compute_global_snapshot
 from topomon.protocol import NodeState
 from topomon.topology import NodeAdded, NodeRemoved, Role, Topology
@@ -154,11 +154,8 @@ _BOUNDS = (
 
 
 @dataclass(frozen=True)
-class ProbeSample:
-    time_ms: int
-    tp: int
-    fp: int
-    fn: int
+class ProbeSample(ConfusionCounts):
+    time_ms: int  # when the probe compared the agreed view with the ground truth
 
 
 class World:
@@ -335,8 +332,8 @@ class World:
             if tracing:
                 peers = ",".join(str(p) for p in sorted(payload.verified_peers))
                 self._trace(kind, frm, to, peers)
-            for act in self.nodes[to].handle_verified(frm, payload):
-                self._apply_disconnect(to, act.peer)
+            for peer in self.nodes[to].handle_verified(frm, payload):
+                self._apply_disconnect(to, peer)
             return
         if tracing:
             self._trace(kind, frm, to, f"{payload.target}:{payload.value}")
@@ -359,11 +356,9 @@ class World:
         if self.topo.roles[nid] is Role.MALICIOUS and not self.cfg.malicious_refill:
             return
         while len(self.topo.out[nid]) < self.cfg.outbound_per_node:
-            choices = self.topo.eligible_targets(nid)
-            if not choices:
+            t = self.topo.open_random_edge(nid, self.rng_topology)
+            if t is None:
                 return
-            t = self.rng_topology.choice(choices)
-            self.topo.open_connection(nid, t)
             self._trace("refill", nid, t)
 
     # -- background processes -----------------------------------------------------------
@@ -387,10 +382,8 @@ class World:
     def _on_probe(self) -> None:
         snap = self.global_snapshot()
         truth = self.topo.peer_edges()
-        counts = classify_edges(snap.edges, truth)
-        self.probes.append(
-            ProbeSample(self.engine.now, counts.tp, counts.fp, counts.fn)
-        )
+        c = classify_edges(snap.edges, truth)
+        self.probes.append(ProbeSample(tp=c.tp, fp=c.fp, fn=c.fn, time_ms=self.engine.now))
         if self.snapshot_sink is not None:
             now = self.engine.now
             for mid, mon in self.monitors.items():

@@ -100,7 +100,7 @@ class Topology:
         return [n for n in self.out if self.roles[n] is Role.MALICIOUS]
 
     def population(self) -> int:
-        return len(self.roles) - len(self.monitors)
+        return len(self._alive)
 
     def peer_edges(self) -> set[tuple[int, int]]:
         return {(a, b) for a, row in self.out.items() for b in row}
@@ -181,6 +181,16 @@ class Topology:
             and t not in self.banned[source]
         ]
 
+    def open_random_edge(self, source: int, rng: random.Random) -> int | None:
+        """Open an edge from `source` to `rng.choice(eligible_targets(source))`
+        and return that target; None, drawing nothing, when no peer is eligible."""
+        choices = self.eligible_targets(source)
+        if not choices:
+            return None
+        t = rng.choice(choices)
+        self.open_connection(source, t)
+        return t
+
     def remove_node(self, node: int, rng: random.Random) -> NodeRemoved:
         """Depart a node; every orphaned inbound peer opens one replacement
         edge so it keeps target_outbound outbound connections."""
@@ -197,16 +207,8 @@ class Topology:
         del self._alive[bisect_left(self._alive, node)]
         self.malicious_count -= role is Role.MALICIOUS
         self.clique_version += role is Role.MALICIOUS
-        rewired: list[tuple[int, int | None]] = []
-        for p in orphans:
-            choices = self.eligible_targets(p)
-            if choices:
-                t = rng.choice(choices)
-                self.open_connection(p, t)
-                rewired.append((p, t))
-            else:
-                rewired.append((p, None))
-        return NodeRemoved(node, role, severed, tuple(rewired))
+        rewired = tuple((p, self.open_random_edge(p, rng)) for p in orphans)
+        return NodeRemoved(node, role, severed, rewired)
 
     # -- churn -------------------------------------------------------------
 

@@ -18,7 +18,7 @@ from topomon.experiment import (
     run_experiment,
     run_sweep,
 )
-from topomon.metrics import ConfusionCounts
+from topomon.metrics import ConfusionCounts, precision, recall
 from topomon.simulation import ConfigInvalid, ExperimentConfig
 
 
@@ -56,7 +56,7 @@ def test_pooled_counts_sum_probes():
     for s in report.samples:
         want = want + ConfusionCounts(s.tp, s.fp, s.fn)
     assert report.totals == want == pooled(report.samples)
-    assert report.precision == 1.0 and report.recall == 1.0
+    assert precision(report.totals) == 1.0 and recall(report.totals) == 1.0
 
 
 def test_sweep_shape_and_seed_derivation():
@@ -122,6 +122,15 @@ def test_sweep_reports_in_grid_order_and_leaves_no_worker():
         (r.config.variability_s, r.config.malicious_pct, r.config.seed) for r in report.runs
     ] == [(v, p / 100.0, s) for v, p, s in grid]
     assert report.runs[5].totals == run_experiment(report.runs[5].config).totals
+    assert multiprocessing.active_children() == []
+
+
+def test_sweep_runs_without_sched_getaffinity(monkeypatch):
+    # macOS and Windows have no `os.sched_getaffinity`; the pool then sizes
+    # itself from `os.cpu_count()`
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    report = run_sweep([0.0], [0], 2, base=tiny())
+    assert report.ok and len(report.runs) == 2
     assert multiprocessing.active_children() == []
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topomon.protocol import Disconnect, Marker, NodeState, Send, UnknownPeer, VerifiedMsg
+from topomon.protocol import Marker, NodeState, Send, UnknownPeer, VerifiedMsg
 from topomon.topology import Role, Topology
 
 MONITORS = {100, 101, 102, 103}
@@ -144,7 +144,7 @@ def test_handle_verified_disconnects_after_majority_loss():
     for i in range(3):
         for m in (100, 101, 102):
             assert n.handle_verified(m, absent) == []
-        expected = [Disconnect(7)] if i == 2 else []
+        expected = [7] if i == 2 else []
         assert n.handle_verified(103, VerifiedMsg(frozenset({7}))) == expected
 
 
@@ -222,7 +222,7 @@ class PerMonitorRule:
             self.status[(p, m)] = int(p in verified)
             self.seen[(p, m)] = self.seen.get((p, m), 0) + 1
             if self.must_disconnect(p):
-                cut.append(Disconnect(p))
+                cut.append(p)
         return cut
 
     def forget(self, p):

@@ -317,3 +317,33 @@ def test_live_lists_equal_their_sorted_definitions(seed, ops):
         assert topo.peers_alive() == peers
         assert topo.malicious_alive() == bad
         assert topo.malicious_count == len(bad)
+
+
+@given(
+    nodes=st.integers(1, 12),
+    seed=st.integers(0, 2**32),
+    bans=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=20),
+    sources=st.lists(st.integers(0, 11), min_size=1, max_size=30),
+)
+@settings(max_examples=100, deadline=None)
+def test_open_random_edge_draws_as_choice_over_eligible_targets(nodes, seed, bans, sources):
+    # the contract a faster pick must keep: the target `rng.choice` picks from
+    # `eligible_targets`, by the same draws, and no draw when none is eligible
+    topo = build(nodes, seed=seed % 97)
+    live = topo.peers_alive()
+    for i, j in bans:
+        a, b = live[i % nodes], live[j % nodes]
+        if a != b:
+            for x, y in ((a, b), (b, a)):
+                if y in topo.out[x]:
+                    topo.close_connection(x, y)
+            topo.ban(a, b)
+    a, b = random.Random(seed), random.Random(seed)
+    for k in sources:
+        src = live[k % nodes]
+        choices = topo.eligible_targets(src)
+        want = b.choice(choices) if choices else None
+        assert topo.open_random_edge(src, a) == want
+        assert a.getstate() == b.getstate()
+        assert want is None or want in topo.out[src]
+    assert topo.audit() == []
