@@ -8,6 +8,9 @@ colluder clique so that further fabricated links pile up. Colluders know
 each other out of band, so nonce sharing is modeled as instantaneous; only
 the resulting answers to the monitor travel as real messages.
 
+Every adversary classifies a marker with the honest `NodeState.classify` and
+deviates only where a rule applies; a marker the honest rule drops, it drops.
+
 Each of the six isolated misbehaviors is also available on its own for
 targeted security tests: wrong-direction forwarding, forwarding to a
 non-peer, nonce replay, field tampering, probe dropping, and selective
@@ -24,7 +27,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from topomon.protocol import Marker, NodeState, Send, new
+from topomon.protocol import OWN_PROBE, Marker, NodeState, Send, new
 from topomon.topology import Role, Topology
 
 
@@ -112,9 +115,10 @@ class Adversary:
     # -- dispatch -------------------------------------------------------------
 
     def handle_marker(self, sender: int, m: Marker) -> list[Send]:
-        if self.single is not None:
-            return self._single(sender, m)
-        return self._worst_case(sender, m)
+        rule = self.state.classify(sender, m)
+        if not rule:
+            return []  # dropped, as an honest node drops it
+        return self._worst_case(rule, m) if self.single is None else self._single(rule, m)
 
     def handle_verified(self, sender: int, v) -> list[int]:
         return []  # no reputation enforcement on the adversary's side
@@ -122,81 +126,49 @@ class Adversary:
     def forget(self, peer: int) -> None:
         self.state.forget(peer)
 
-    # -- helpers ----------------------------------------------------------------
-
-    def _own_probe(self, sender: int, m: Marker) -> bool:
-        return (
-            sender == m.monitor
-            and m.target == self.state.id
-            and m.monitor in self.state.monitors
-        )
-
-    def _relay_duty(self, sender: int, m: Marker) -> bool:
-        return (
-            sender == m.target
-            and sender in self.state.inbound
-            and m.monitor in self.state.monitors
-        )
+    # -- full collusion -----------------------------------------------------------
 
     def _fakes_for(self, ring: list[int], m: Marker) -> list[Send]:
         inb, target, mon = self.policy.topo.inb, m.target, m.monitor
         return [new(Send, (c, mon, m)) for c in ring if c != target and target not in inb[c]]
 
-    # -- full collusion -----------------------------------------------------------
-
-    def _worst_case(self, sender: int, m: Marker) -> list[Send]:
+    def _worst_case(self, rule: int, m: Marker) -> list[Send]:
         pol, st = self.policy, self.state
-        target, mon, _ = m
-        if sender == mon and target == st.id and mon in st.monitors:  # own probe
-            acts = []
-            if not pol.full_hiding:
-                acts = [
-                    Send(st.id, p, m)
-                    for p in sorted(st.outbound)
-                    if not pol.is_colluder(p)
-                ]
+        if rule == OWN_PROBE:
+            honest = [] if pol.full_hiding else [p for p in st.outbound if not pol.is_colluder(p)]
             # adjacent colluders answer for links that do not exist
-            return acts + self._fakes_for(pol.rings(st.id)[0], m)
-        if sender == target and sender in st.inbound:
-            if pol.is_colluder(sender):
-                return []  # clique-internal link stays hidden
-            # hide the honest link, leak the nonce through the clique
-            ring, second = pol.rings(st.id)
-            if pol.share_hops >= 2 and second:
-                rand, p = pol.rng.random, pol.second_hop_p
-                ring = sorted(ring + [c for c in second if rand() < p])
-            return self._fakes_for(ring, m)
-        return []
+            return st.fan_out(honest, m) + self._fakes_for(pol.rings(st.id)[0], m)
+        if pol.is_colluder(m.target):
+            return []  # clique-internal link stays hidden
+        # hide the honest link, leak the nonce through the clique
+        ring, second = pol.rings(st.id)
+        if pol.share_hops >= 2 and second:
+            rand, p = pol.rng.random, pol.second_hop_p
+            ring = sorted(ring + [c for c in second if rand() < p])
+        return self._fakes_for(ring, m)
 
     # -- isolated misbehaviors -------------------------------------------------------
 
-    def _single(self, sender: int, m: Marker) -> list[Send]:
+    def _single(self, rule: int, m: Marker) -> list[Send]:
         """The chosen misbehavior where it applies; honest relaying elsewhere."""
         st, b = self.state, self.single
-        own, duty = self._own_probe(sender, m), self._relay_duty(sender, m)
-        if b.behavior == 1 and own:
-            return [Send(st.id, p, m) for p in sorted(st.inbound)]
-        if b.behavior == 2 and own:
-            acts = [Send(st.id, p, m) for p in sorted(st.outbound)]
-            if b.victim is not None:
-                hop = b.relay_via if b.relay_via is not None else st.id
-                acts.append(Send(hop, b.victim, m))
+        if rule == OWN_PROBE:
+            if b.behavior == 5:
+                return []
+            peers = st.inbound if b.behavior == 1 else st.outbound
+            acts = st.fan_out(peers, self._tampered(m) if b.behavior == 4 else m)
+            if b.behavior == 2 and b.victim is not None:
+                acts.append(Send(st.id if b.relay_via is None else b.relay_via, b.victim, m))
             return acts
-        if b.behavior == 3 and duty:
+        if b.behavior == 3:
             prev = self.stored.get(m.target)
             self.stored[m.target] = m
             return [Send(st.id, prev.monitor, prev)] if prev is not None else []
-        if b.behavior == 4 and own:
-            bad = self._tampered(m)
-            return [Send(st.id, p, bad) for p in sorted(st.outbound)]
-        if (b.behavior == 5 and own) or (b.behavior == 6 and duty and m.monitor in b.drop_for):
+        if b.behavior == 6 and m.monitor in b.drop_for:
             return []
-        return st.handle_marker(sender, m)
+        return [Send(st.id, m.monitor, m)]
 
     def _tampered(self, m: Marker) -> Marker:
         which = self.policy.rng.choice(("target", "monitor", "value"))
-        if which == "target":
-            return Marker(m.target + 1_000_000_000, m.monitor, m.value)
-        if which == "monitor":
-            return Marker(m.target, m.monitor + 1_000_000_000, m.value)
-        return Marker(m.target, m.monitor, m.value ^ 0xDEADBEEF)
+        v = getattr(m, which)
+        return m._replace(**{which: v ^ 0xDEADBEEF if which == "value" else v + 1_000_000_000})

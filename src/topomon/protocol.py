@@ -1,9 +1,9 @@
 """Wire messages and honest node behavior.
 
-A node relays link-verification markers under two rules only: markers
-arriving from a known monitor fan out to every outbound peer, and markers
-arriving from their own target via an inbound edge bounce back to the
-monitor. Everything else is dropped silently.
+A node answers two kinds of marker only, told apart by `NodeState.classify`:
+its own probe (a known monitor sent it a marker that names it) fans out to
+every outbound peer, and a relay it owes (the marker's target sent it over an
+inbound edge, for a known monitor) bounces back to the monitor. It drops the rest.
 
 Reputation is a per-peer tally of monitor confirmations. A peer is cut
 loose once at most half the monitors still vouch for it, but never before
@@ -17,13 +17,15 @@ of the peers to disconnect.
 """
 from __future__ import annotations
 
-from collections.abc import Set as AbstractSet
+from collections.abc import Iterable, Set as AbstractSet
 from typing import NamedTuple
 
 # Messages are plain named tuples. Relays, fabricated relays and round markers
 # are built as `new(Send, (sender, to, marker))`: `tuple.__new__` skips the
 # NamedTuple's Python-level `__new__` and still makes a `Send`.
 new = tuple.__new__
+# what `NodeState.classify` makes of a marker; 0 for a marker it drops
+OWN_PROBE, RELAY_OWED = 1, 2
 
 
 class Marker(NamedTuple):
@@ -78,12 +80,27 @@ class NodeState:
 
     # -- marker relay --------------------------------------------------------
 
+    def classify(self, sender: int, m: Marker) -> int:
+        """OWN_PROBE when a known monitor sent this node a marker that names it,
+        RELAY_OWED when the marker's target sent it over an inbound edge, for a
+        known monitor; 0 when neither rule applies."""
+        target, mon, _ = m
+        if mon in self.monitors:
+            if sender == mon and target == self.id:
+                return OWN_PROBE
+            if sender == target and sender in self.inbound:
+                return RELAY_OWED
+        return 0
+
+    def fan_out(self, peers: Iterable[int], m: Marker) -> list[Send]:
+        """`m` from this node to each of `peers`, in ascending peer order."""
+        return [new(Send, (self.id, p, m)) for p in sorted(peers)]
+
     def handle_marker(self, sender: int, m: Marker) -> list[Send]:
-        if sender == m.monitor and m.monitor in self.monitors:
-            return [new(Send, (self.id, p, m)) for p in sorted(self.outbound)]
-        if sender == m.target and sender in self.inbound and m.monitor in self.monitors:
-            return [new(Send, (self.id, m.monitor, m))]
-        return []
+        rule = self.classify(sender, m)
+        if rule == OWN_PROBE:
+            return self.fan_out(self.outbound, m)
+        return [new(Send, (self.id, m.monitor, m))] if rule else []
 
     # -- reputation ----------------------------------------------------------
 

@@ -272,10 +272,13 @@ class World:
         self._trace("edge_open", a, b)
 
     def close_edge(self, a: int, b: int) -> None:
+        self._sever(a, b)
+        self._trace("edge_close", a, b)
+
+    def _sever(self, a: int, b: int) -> None:
         self.topo.close_connection(a, b)
         self.nodes[a].forget(b)
         self.nodes[b].forget(a)
-        self._trace("edge_close", a, b)
 
     def _trace(self, kind: str, frm, to="-", detail: str = "") -> None:
         if self.trace_sink is not None:
@@ -344,10 +347,8 @@ class World:
     def _apply_disconnect(self, owner: int, peer: int) -> None:
         # `handle_verified` names only peers in the owner's live rows, so the
         # peer is alive and exactly one of the two directed edges exists
-        self.nodes[owner].forget(peer)
-        self.nodes[peer].forget(owner)
         edge = (owner, peer) if peer in self.topo.out[owner] else (peer, owner)
-        self.topo.close_connection(*edge)
+        self._sever(*edge)
         self.topo.ban(owner, peer)
         self._trace("disconnect", owner, peer, f"edge={edge[0]}>{edge[1]}")
         self._refill(edge[0])

@@ -5,7 +5,7 @@ import random
 from bisect import insort
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from topomon.adversary import Adversary, AdversaryPolicy, SingleBehavior
@@ -256,6 +256,40 @@ def test_behavior_6_drops_relays_only_for_listed_monitors():
     assert d.handle_marker(1, Marker(1, 101, 2)) == []
     m = Marker(1, 102, 3)
     assert d.handle_marker(1, m) == [Send(2, 102, m)]
+
+
+SHAPES = {
+    "full_hiding": ({}, None),
+    "soft_hiding": ({"full_hiding": False, "share_hops": 1}, None),
+    **{
+        f"single_{b}": ({}, SingleBehavior(b, victim=33, drop_for=frozenset({100, 999})))
+        for b in range(1, 7)
+    },
+}
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@given(
+    sender=st.integers(0, 10) | st.sampled_from(sorted(MONITORS) + [999]),
+    target=st.integers(0, 10),
+    monitor=st.sampled_from(sorted(MONITORS) + [999]),
+)
+@example(sender=9, target=9, monitor=999)  # a relay for a monitor nobody knows
+@settings(max_examples=150, deadline=None)
+def test_adversaries_deviate_only_where_a_rule_applies(shape, sender, target, monitor):
+    """A marker that is neither the colluder's own probe nor a relay it owes
+    gets exactly the honest answer, whatever the colluder's shape."""
+    kw, single = SHAPES[shape]
+    pol = make_policy(**kw)
+    adv = colluder(pol, 1, out=(2, 7), inb=(3, 9), single=single)
+    colluder(pol, 2, inb=(1, 9), out=(4,))
+    colluder(pol, 3, out=(1,))
+    colluder(pol, 4, inb=(2,))
+    own = sender == monitor and target == 1 and monitor in MONITORS
+    owed = sender == target and sender in (3, 9) and monitor in MONITORS
+    if not (own or owed):
+        m = Marker(target, monitor, 42)
+        assert adv.handle_marker(sender, m) == adv.state.handle_marker(sender, m)
 
 
 @pytest.mark.parametrize("behavior", [0, 7, -1])

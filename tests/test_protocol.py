@@ -41,6 +41,9 @@ def test_marker_with_mismatched_target_is_dropped():
     p = node(nid=2, inb=(9,))
     m = Marker(target=1, monitor=100, value=7)
     assert p.handle_marker(9, m) == []
+    # a known monitor's marker that names another node is no probe of this one
+    n = node(nid=2, out=(5,), inb=(9,))
+    assert n.handle_marker(100, m) == []
 
 
 def test_marker_from_unknown_monitor_is_dropped():

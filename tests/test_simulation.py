@@ -397,6 +397,34 @@ def test_honest_churn_errors_end_within_the_error_window(cfg):
         assert now - oldest <= bound, (now, oldest, bound)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="Monitor.node_departed picks repair scans from the view's inb, so an orphan "
+    "whose first round has not yet recorded the departed peer gets no repair scan",
+)
+def test_orphan_rewired_during_its_first_round_is_rescanned_at_once():
+    """Node 5 leaves at 69 ms while every monitor's first round of node 7 is
+    still open and has collected only 6. Orphan 7 rewires to 15 at 70 ms; a
+    repair scan of row 7 would put 7->15 into the agreed view within one
+    round timeout plus three hops."""
+    cfg = ExperimentConfig(nodes=19, monitors=5, variability_s=1.739, round_timeout_ms=532,
+                           f_init=10, f_max=10, scheduling_mode="fixed",
+                           latency_ms_range=(7, 69), seed=16413)
+    w = World(cfg)
+    bound = cfg.round_timeout_ms + 3 * cfg.latency_ms_range[1]
+    opened = None
+    for now in range(0, 12_000, 10):
+        w.engine.run_until(now)
+        if opened is None and (7, 15) in w.topo.peer_edges():
+            opened = now
+        if opened is not None and (7, 15) in w.global_snapshot().edges:
+            break
+    else:
+        pytest.fail("7->15 never reached both the truth and the agreed view")
+    assert now - opened <= bound, (opened, now)
+
+
 @st.composite
 def valid_worlds(draw) -> ExperimentConfig:
     """Small configs that `validate()` accepts, drawn over every field a run
