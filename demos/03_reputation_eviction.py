@@ -6,8 +6,6 @@ confirmations per monitor, waits out the safe period, and once a strict
 majority of monitors agrees the mole is gone: disconnected, banned for good,
 and the freed outbound slot is refilled with a fresh peer.
 """
-import io
-
 from topomon.adversary import SingleBehavior
 from topomon.simulation import ExperimentConfig, World
 
@@ -22,8 +20,15 @@ cfg = ExperimentConfig(
     adaptive=False,
     seed=6,
 )
-trace = io.StringIO()
-world = World(cfg, trace_sink=trace)
+events = []  # (time_ms, kind, from, to, closed edge) of each enforcement step
+
+
+def enforcement(now, kind, frm, to, data):
+    if kind in ("disconnect", "refill"):
+        events.append((now, kind, frm, to, data))
+
+
+world = World(cfg, observer=enforcement)
 
 mole = max(world.nodes, key=lambda n: len(world.topo.inb[n]))
 victims = sorted(world.topo.inb[mole])
@@ -33,13 +38,10 @@ world.convert_to_malicious(mole, SingleBehavior(6, drop_for=frozenset(range(3)))
 
 world.run()
 
-printed = 0
-for line in trace.getvalue().splitlines():
-    t, kind, frm, to, detail = line.split("\t")
-    if kind in ("disconnect", "refill"):
-        print(f"  t={int(t) / 1000:5.2f}s  {kind:10}  {frm} -> {to}  {detail}")
-        printed += 1
-print(f"\n{printed} enforcement events; mole edges now: "
+for t, kind, frm, to, edge in events:
+    detail = f"edge={edge[0]}>{edge[1]}" if edge else ""
+    print(f"  t={t / 1000:5.2f}s  {kind:10}  {frm} -> {to}  {detail}")
+print(f"\n{len(events)} enforcement events; mole edges now: "
       f"{sorted(e for e in world.topo.peer_edges() if mole in e)}")
 
 for v in victims:

@@ -246,6 +246,8 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 def _cmd_export(args: argparse.Namespace) -> int:
     cfg = build_config(args)
+    if args.settle_ms > cfg.duration_ms:  # the run ends there; churn must not go on
+        raise ValueError(f"--settle-ms {args.settle_ms} exceeds duration_ms {cfg.duration_ms}")
     world = World(cfg)
     if args.settle_ms:
         world.engine.run_until(args.settle_ms)

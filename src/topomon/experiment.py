@@ -1,6 +1,7 @@
-"""Run/sweep harness producing the CSV artifacts.
+"""Run/sweep harness, and the one module that knows a run's artifact formats.
 
-Two artifact kinds share one row format (`CSV_HEADER`):
+`TextArtifacts` writes the trace and snapshot dump from `World`'s observer
+calls. Two CSV artifact kinds share one row format (`CSV_HEADER`):
 
 * per-run detail written by `run_experiment`: one row per accuracy probe;
 * sweep raw file written by `run_sweep`: one row per run, carrying the
@@ -54,19 +55,52 @@ class RunReport:
 
 
 def _row(cfg: ExperimentConfig, time_ms: int, c: ConfusionCounts) -> str:
-    return ",".join(
-        (
-            _num(cfg.variability_s),
-            _num(100.0 * cfg.malicious_pct),
-            str(cfg.seed),
-            str(time_ms),
-            str(c.tp),
-            str(c.fp),
-            str(c.fn),
-            _ratio(precision(c)),
-            _ratio(recall(c)),
-        )
-    )
+    cols = (_num(cfg.variability_s), _num(100.0 * cfg.malicious_pct), str(cfg.seed),
+            str(time_ms), str(c.tp), str(c.fp), str(c.fn),
+            _ratio(precision(c)), _ratio(recall(c)))
+    return ",".join(cols)
+
+
+class TextArtifacts:
+    """A `World` observer that writes whichever of its two text sinks it has.
+
+    `World` calls it as `observer(now, kind, frm, to, data)`. A trace line is
+    `time_ms  kind  from  to  detail`, tab-separated. Per kind, the `data`
+    passed and the line's detail field:
+
+    * join, leave: the `Role` (`to` None, written `-`); the role's value;
+    * edge_open, edge_close, refill: None; empty;
+    * disconnect: the closed `(a, b)` edge; `edge=a>b`;
+    * marker_from_monitor, marker_forwarded: the `Marker`; `target:value`;
+    * marker_to_monitor: `(Marker, accepted)`; `target:value:accepted`, 1 or 0;
+    * verified: the `VerifiedMsg`; its peer ids, sorted, comma-separated;
+    * probe (`frm`, `to` None): `(monitors by id, GlobalSnapshot)`; no trace
+      line, but snapshot lines `time_ms  m<id>  edges` per monitor in id
+      order, then `time_ms  global  edges`, each edge an `a>b`, sorted.
+    """
+
+    def __init__(self, trace: IO[str] | None = None, snapshots: IO[str] | None = None) -> None:
+        self.trace, self.snapshots = trace, snapshots
+
+    def __call__(self, now: int, kind: str, frm, to, data) -> None:
+        if kind == "probe":
+            if self.snapshots is not None:
+                views = [(f"m{mid}", mon.edges) for mid, mon in data[0].items()]
+                for tag, edges in views + [("global", data[1].edges)]:
+                    pairs = ",".join(f"{a}>{b}" for a, b in sorted(edges))
+                    self.snapshots.write(f"{now}\t{tag}\t{pairs}\n")
+        elif self.trace is not None:
+            if kind == "marker_to_monitor":
+                detail = f"{data[0].target}:{data[0].value}:{int(data[1])}"
+            elif kind == "verified":
+                detail = ",".join(str(p) for p in sorted(data.verified_peers))
+            elif kind == "disconnect":
+                detail = f"edge={data[0]}>{data[1]}"
+            elif kind in ("marker_from_monitor", "marker_forwarded"):
+                detail = f"{data.target}:{data.value}"
+            else:  # a join or leave carries its role; the rest carry None
+                detail = "" if data is None else data.value
+            self.trace.write(f"{now}\t{kind}\t{frm}\t{'-' if to is None else to}\t{detail}\n")
 
 
 def run_experiment(
@@ -77,7 +111,8 @@ def run_experiment(
     snapshots: IO[str] | None = None,
 ) -> RunReport:
     """Simulate one configuration and optionally stream its artifacts."""
-    world = World(cfg, trace_sink=trace, snapshot_sink=snapshots)
+    text = trace is not None or snapshots is not None
+    world = World(cfg, TextArtifacts(trace, snapshots) if text else None)
     samples = world.run()
     if raw is not None:
         raw.write(CSV_HEADER + "\n")

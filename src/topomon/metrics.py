@@ -109,16 +109,5 @@ def audit_overhead(
     graph must have been static while the sweep ran for the counts to line
     up. Returns one row per node; filter on .ok for discrepancies.
     """
-    rows = []
-    for node in sorted(degrees):
-        out_deg, in_deg = degrees[node]
-        rows.append(
-            AuditRow(
-                node,
-                out_deg,
-                in_deg,
-                expected_overhead(out_deg, in_deg, monitors),
-                ledger.node_protocol_load(node),
-            )
-        )
-    return rows
+    return [AuditRow(node, *degrees[node], expected_overhead(*degrees[node], monitors),
+                     ledger.node_protocol_load(node)) for node in sorted(degrees)]

@@ -1,9 +1,11 @@
 """End-to-end simulation: one engine driving ground truth, monitors,
 honest nodes, and colluders.
 
-`World` owns what a run draws and records: one RNG substream of `cfg.seed`
-per purpose, and the optional trace, written by `_trace`. The engine is only
-the event loop.
+`World` owns what a run draws, one RNG substream of `cfg.seed` per purpose,
+and writes no text: it calls an optional `observer(now, kind, frm, to, data)`,
+which must draw no RNG, at each join, leave, edge open and close, disconnect,
+refill, delivery and probe; `experiment.TextArtifacts` lists each kind's data
+and writes the trace and snapshot dump. The engine is only the event loop.
 
 Event flow per scan: a round-start event sends the marker to the target;
 the matching timeout event, `round_timeout_ms` later, calls the monitor's
@@ -159,14 +161,13 @@ class ProbeSample(ConfusionCounts):
 
 
 class World:
-    def __init__(self, cfg: ExperimentConfig, trace_sink=None, snapshot_sink=None) -> None:
+    def __init__(self, cfg: ExperimentConfig, observer=None) -> None:
         problems = cfg.validate()
         if problems:
             raise ConfigInvalid(problems)
         self.cfg = cfg
         self.engine = Engine()
-        self.trace_sink = trace_sink
-        self.snapshot_sink = snapshot_sink
+        self.observer = observer
         # Per-purpose RNG substreams, so that e.g. a different latency range
         # cannot perturb churn timing.
         self.rng_churn = substream(cfg.seed, "churn")
@@ -235,8 +236,8 @@ class World:
             inbound=topo.inb[nid],
         )
         self.nodes[nid] = state if ev.role is Role.HONEST else Adversary(state, self.policy)
-        if self.trace_sink is not None:
-            self._trace("join", nid, "-", ev.role.value)
+        if self.observer is not None:
+            self.observer(self.engine.now, "join", nid, None, ev.role)
         for mid, mon in self.monitors.items():
             mon.node_discovered(nid)
             self._schedule_round(mid, nid, 0)
@@ -248,8 +249,8 @@ class World:
         for p, _ in ev.rewired:
             self.nodes[p].forget(nid)
         del self.nodes[nid]
-        if self.trace_sink is not None:
-            self._trace("leave", nid, "-", ev.role.value)
+        if self.observer is not None:
+            self.observer(self.engine.now, "leave", nid, None, ev.role)
         for mid, mon in self.monitors.items():
             repair = mon.node_departed(nid)
             self.engine.cancel(self.pending.pop((mid, nid)))
@@ -267,22 +268,22 @@ class World:
         return adv
 
     def open_edge(self, a: int, b: int) -> None:
-        """Ground-truth mutation without any notification; scans must find it."""
+        """Ground-truth mutation that no monitor or node is told of; scans must find it."""
         self.topo.open_connection(a, b)
-        self._trace("edge_open", a, b)
+        self._notify("edge_open", a, b)
 
     def close_edge(self, a: int, b: int) -> None:
         self._sever(a, b)
-        self._trace("edge_close", a, b)
+        self._notify("edge_close", a, b)
 
     def _sever(self, a: int, b: int) -> None:
         self.topo.close_connection(a, b)
         self.nodes[a].forget(b)
         self.nodes[b].forget(a)
 
-    def _trace(self, kind: str, frm, to="-", detail: str = "") -> None:
-        if self.trace_sink is not None:
-            self.trace_sink.write(f"{self.engine.now}\t{kind}\t{frm}\t{to}\t{detail}\n")
+    def _notify(self, kind: str, frm: int, to: int, data=None) -> None:
+        if self.observer is not None:
+            self.observer(self.engine.now, kind, frm, to, data)
 
     # -- scan scheduling ---------------------------------------------------------
 
@@ -322,24 +323,21 @@ class World:
             schedule(lo + r, "deliver", hop, frm, to, payload)
 
     def _on_deliver(self, kind: str, frm: int, to: int, payload) -> None:
-        tracing = self.trace_sink is not None  # trace details are built only when kept
+        observer = self.observer
         mon = self.monitors.get(to)
         if mon is not None:
             accepted = mon.receive_marker(frm, payload)
-            if tracing:
-                self._trace(kind, frm, to, f"{payload.target}:{payload.value}:{int(accepted)}")
+            if observer is not None:
+                observer(self.engine.now, kind, frm, to, (payload, accepted))
             return
         if to not in self.nodes:
             return  # recipient departed while the message was in flight
+        if observer is not None:
+            observer(self.engine.now, kind, frm, to, payload)
         if kind == "verified":
-            if tracing:
-                peers = ",".join(str(p) for p in sorted(payload.verified_peers))
-                self._trace(kind, frm, to, peers)
             for peer in self.nodes[to].handle_verified(frm, payload):
                 self._apply_disconnect(to, peer)
             return
-        if tracing:
-            self._trace(kind, frm, to, f"{payload.target}:{payload.value}")
         self._send(self.nodes[to].handle_marker(frm, payload))
 
     # -- enforcement -----------------------------------------------------------------
@@ -350,7 +348,7 @@ class World:
         edge = (owner, peer) if peer in self.topo.out[owner] else (peer, owner)
         self._sever(*edge)
         self.topo.ban(owner, peer)
-        self._trace("disconnect", owner, peer, f"edge={edge[0]}>{edge[1]}")
+        self._notify("disconnect", owner, peer, edge)
         self._refill(edge[0])
 
     def _refill(self, nid: int) -> None:
@@ -360,7 +358,7 @@ class World:
             t = self.topo.open_random_edge(nid, self.rng_topology)
             if t is None:
                 return
-            self._trace("refill", nid, t)
+            self._notify("refill", nid, t)
 
     # -- background processes -----------------------------------------------------------
 
@@ -385,12 +383,7 @@ class World:
         truth = self.topo.peer_edges()
         c = classify_edges(snap.edges, truth)
         self.probes.append(ProbeSample(tp=c.tp, fp=c.fp, fn=c.fn, time_ms=self.engine.now))
-        if self.snapshot_sink is not None:
-            now = self.engine.now
-            for mid, mon in self.monitors.items():
-                edges = ",".join(f"{a}>{b}" for a, b in sorted(mon.edges))
-                self.snapshot_sink.write(f"{now}\tm{mid}\t{edges}\n")
-            edges = ",".join(f"{a}>{b}" for a, b in sorted(snap.edges))
-            self.snapshot_sink.write(f"{now}\tglobal\t{edges}\n")
+        if self.observer is not None:
+            self.observer(self.engine.now, "probe", None, None, (self.monitors, snap))
         if self.engine.now + self.cfg.probe_every_ms <= self.cfg.duration_ms:
             self.engine.schedule(self.cfg.probe_every_ms, "probe")

@@ -12,7 +12,7 @@ import io
 import sys
 from pathlib import Path
 
-from topomon.experiment import run_sweep
+from topomon.experiment import TextArtifacts, run_sweep
 from topomon.simulation import ExperimentConfig, World
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -21,7 +21,7 @@ from tracer import Tracer  # noqa: E402  (bench/ is not a package)
 
 def trace_of(cfg: ExperimentConfig) -> str:
     sink = io.StringIO()
-    World(cfg, trace_sink=sink).run()
+    World(cfg, observer=TextArtifacts(trace=sink)).run()
     return sink.getvalue()
 
 

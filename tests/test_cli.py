@@ -221,6 +221,18 @@ def test_negative_settle_time_exits_2(capsys):
     assert captured.err.startswith("error: run_until(-5)") and captured.err.count("\n") == 1
 
 
+def test_settle_time_past_the_run_exits_2(capsys, tmp_path):
+    # settling past duration_ms would churn beyond the configured run
+    conf = tmp_path / "short.conf"
+    conf.write_text("duration_ms = 20000\nprobe_every_ms = 20000\n")
+    rc = main(["export-topology", "--nodes", "8", "--monitors", "1", "--config", str(conf),
+               "--settle-ms", "20001"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --settle-ms 20001 exceeds duration_ms 20000\n"
+
+
 def _assert_cannot_write(capsys, path):
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {path}") and err.count("\n") == 1

@@ -14,6 +14,7 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 
 from topomon.adversary import Adversary, SingleBehavior
 from topomon.engine import POISSON_MAX_MEAN, sample_poisson, substream
+from topomon.experiment import TextArtifacts
 from topomon.monitor import SCHEDULING_MODES, max_error_window
 from topomon.simulation import ConfigInvalid, ExperimentConfig, World
 from topomon.topology import NodeAdded, Role
@@ -169,10 +170,10 @@ def test_static_honest_world_is_exact_from_first_probe():
         assert (p.tp, p.fp, p.fn) == (len(truth), 0, 0)
 
 
-def test_same_seed_reproduces_probe_rows_and_trace():
+def test_same_seed_reproduces_the_probe_rows_and_trace_text():
     def go():
         sink = io.StringIO()
-        w = World(small(malicious_pct=0.25, seed=3), trace_sink=sink)
+        w = World(small(malicious_pct=0.25, seed=3), observer=TextArtifacts(trace=sink))
         return w.run(), sink.getvalue()
 
     a, ta = go()
@@ -185,7 +186,7 @@ def test_same_seed_reproduces_probe_rows_and_trace():
 def test_different_seeds_diverge():
     def trace_of(seed):
         sink = io.StringIO()
-        World(small(seed=seed), trace_sink=sink).run()
+        World(small(seed=seed), observer=TextArtifacts(trace=sink)).run()
         return sink.getvalue()
 
     assert trace_of(1) != trace_of(2)
@@ -193,7 +194,7 @@ def test_different_seeds_diverge():
 
 def test_trace_lines_are_tab_separated_and_stamped():
     sink = io.StringIO()
-    w = World(small(), trace_sink=sink)
+    w = World(small(), observer=TextArtifacts(trace=sink))
     w.engine.run_until(1_234)
     a, b = unlinked_pair(w)
     before = len(sink.getvalue())
@@ -201,14 +202,40 @@ def test_trace_lines_are_tab_separated_and_stamped():
     assert sink.getvalue()[before:] == f"1234\tedge_open\t{a}\t{b}\t\n"
 
 
-def test_world_without_trace_sink_runs_the_same_calls():
-    w = World(small())
-    w.engine.run_until(1_234)
-    a, b = unlinked_pair(w)
-    w.open_edge(a, b)  # must not blow up without a sink
-    w.close_edge(a, b)
-    w.run()
-    assert w.trace_sink is None
+@st.composite
+def observed_worlds(draw) -> ExperimentConfig:
+    """Worlds with churn, soft-hiding colluders and malicious refill, so that
+    every kind of observer call is made."""
+    return ExperimentConfig(
+        nodes=draw(st.integers(4, 20)),
+        monitors=draw(st.integers(1, 4)),
+        variability_s=draw(st.floats(0.3, 3.0)),
+        malicious_pct=draw(st.floats(0.1, 0.5)),
+        full_hiding=False,
+        malicious_refill=True,
+        safe_rounds=draw(st.integers(0, 3)),
+        duration_ms=20_000,
+        probe_every_ms=5_000,
+        seed=draw(st.integers(0, 2**16)),
+    )
+
+
+@given(observed_worlds())
+@settings(max_examples=25, deadline=None)
+def test_observers_draw_no_rng_and_write_the_same_bytes(cfg):
+    # no observer, trace only, snapshots only, both: the run is the same, and
+    # each text artifact is the same whether or not the other is written
+    def go(trace: int, snapshots: int):
+        sinks = [io.StringIO() if on else None for on in (trace, snapshots)]
+        w = World(cfg, observer=TextArtifacts(*sinks) if trace or snapshots else None)
+        probes = w.run()
+        return probes, w.engine.events_processed, [s and s.getvalue() for s in sinks]
+
+    plain, trace_only, snaps_only, both = go(0, 0), go(1, 0), go(0, 1), go(1, 1)
+    for run in (trace_only, snaps_only, both):
+        assert run[:2] == plain[:2]
+    assert trace_only[2][0] == both[2][0] != ""
+    assert snaps_only[2][1] == both[2][1] != ""
 
 
 def test_global_snapshot_matches_truth_in_honest_world():
@@ -218,9 +245,9 @@ def test_global_snapshot_matches_truth_in_honest_world():
     assert snap.edges == w.topo.peer_edges()
 
 
-def test_snapshot_sink_gets_per_monitor_and_global_lines():
+def test_snapshot_observer_gets_per_monitor_and_global_lines():
     sink = io.StringIO()
-    w = World(small(duration_ms=5_000), snapshot_sink=sink)
+    w = World(small(duration_ms=5_000), observer=TextArtifacts(snapshots=sink))
     w.run()
     lines = sink.getvalue().splitlines()
     tags = [ln.split("\t")[1] for ln in lines]
