@@ -252,7 +252,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
     if args.settle_ms:
         world.engine.run_until(args.settle_ms)
     if args.format == "dot":
-        text = world.topo.to_dot()
+        text = world.topo.to_dot(include_monitors=args.include_monitors)
     else:
         lines = world.topo.edge_list_lines(include_monitors=args.include_monitors)
         text = "\n".join(lines) + "\n"

@@ -68,7 +68,8 @@ class TextArtifacts:
     `time_ms  kind  from  to  detail`, tab-separated. Per kind, the `data`
     passed and the line's detail field:
 
-    * join, leave: the `Role` (`to` None, written `-`); the role's value;
+    * join, leave: the `NodeAdded` or `NodeRemoved` event (`to` None,
+      written `-`); its role's value;
     * edge_open, edge_close, refill: None; empty;
     * disconnect: the closed `(a, b)` edge; `edge=a>b`;
     * marker_from_monitor, marker_forwarded: the `Marker`; `target:value`;
@@ -98,8 +99,8 @@ class TextArtifacts:
                 detail = f"edge={data[0]}>{data[1]}"
             elif kind in ("marker_from_monitor", "marker_forwarded"):
                 detail = f"{data.target}:{data.value}"
-            else:  # a join or leave carries its role; the rest carry None
-                detail = "" if data is None else data.value
+            else:  # a join or leave carries its event; the rest carry None
+                detail = "" if data is None else data.role.value
             self.trace.write(f"{now}\t{kind}\t{frm}\t{'-' if to is None else to}\t{detail}\n")
 
 
@@ -141,61 +142,36 @@ class SweepReport:
 
 
 @contextmanager
-def process_pool(fn: Callable, items: Sequence) -> Iterator[list]:
-    """Yield one handle per item, in item order, from a fresh pool with one
-    worker per available core; `items` must not be empty. A handle's
-    `result()` returns `fn(item)` or raises what that call raised. Items go
-    out in chunks of consecutive items, about 64 chunks per worker, so short
-    calls share the pool's per-call cost; up to 64 items per worker go one
-    per chunk. If the block raises, the chunks not yet started are dropped.
-    No worker process outlives the block."""
+def process_pool(fn: Callable, items: Sequence) -> Iterator[Iterator]:
+    """Yield `Executor.map(fn, items)`, in item order, from a fresh pool with
+    one worker per available core; `items` must not be empty. A call that
+    raises reaches the reader with the worker's traceback as `__cause__`.
+    Items go out in about 64 chunks per worker, so short calls share the
+    pool's per-call cost. If the block raises, the chunks not yet started
+    are dropped. No worker process outlives the block."""
     import concurrent.futures  # imported here: ~2 MB that only pools need
 
     affinity = getattr(os, "sched_getaffinity", None)  # missing on macOS and Windows
     workers = min(len(affinity(0)) if affinity else os.cpu_count() or 1, len(items))
-    size = -(-len(items) // (64 * workers))
-    chunks = [items[i : i + size] for i in range(0, len(items), size)]
     with concurrent.futures.ProcessPoolExecutor(workers) as pool:
         try:
-            futures = [pool.submit(_run_chunk, fn, chunk) for chunk in chunks]
-            yield [_Handle(f, k) for f, chunk in zip(futures, chunks) for k in range(len(chunk))]
+            yield pool.map(fn, items, chunksize=-(-len(items) // (64 * workers)))
         except BaseException:
             pool.shutdown(cancel_futures=True)  # `with` then joins the calls in flight
             raise
 
 
-def _run_chunk(fn: Callable, chunk: Sequence) -> list[tuple[object, str | None]]:
-    """`(fn(item), None)` per item, or `(what it raised, its traceback)`."""
-    out = []
-    for item in chunk:
-        try:
-            out.append((fn(item), None))
-        except Exception as exc:  # the item's failure, not the chunk's
-            import traceback  # imported here: only a failed call needs it
+def _run_one(cfg: ExperimentConfig) -> tuple[RunReport, None] | tuple[Exception, str]:
+    # The sweep's pool entry point, module-level so it pickles by name:
+    # `(report, None)`, or what the run raised and its traceback text, so a
+    # failed run loses no other run of its chunk. It reads `run_experiment`
+    # at call time, so a wrapper set before the fork (bench/tracer.py) runs.
+    try:
+        return run_experiment(cfg), None
+    except Exception as exc:  # the run's failure, not the pool's
+        import traceback  # imported here: only a failed run needs it
 
-            out.append((exc, "".join(traceback.format_exception(exc))))
-    return out
-
-
-@dataclass(frozen=True)
-class _Handle:
-    """One item's result within its chunk's future."""
-
-    future: concurrent.futures.Future
-    k: int
-
-    def result(self):
-        value, worker_traceback = self.future.result()[self.k]
-        if worker_traceback is None:
-            return value
-        raise value from Exception(worker_traceback)  # as a pool shows a call's failure
-
-
-def _run_one(cfg: ExperimentConfig) -> RunReport:
-    # The pool's entry point. It is module-level so that it pickles by name,
-    # and it looks `run_experiment` up at call time, so a wrapper set on the
-    # module before the pool forks (bench/tracer.py sets one) still runs.
-    return run_experiment(cfg)
+        return exc, "".join(traceback.format_exception(exc))
 
 
 def sweep_grid(
@@ -235,42 +211,38 @@ def run_sweep(
 
     Seeds are `base.seed + run_index` within each cell so any single run can
     be reproduced from the sweep invocation alone.  A run that raises is
-    recorded under `failures` and the sweep moves on.
+    recorded under `failures`, with its worker's traceback text as the
+    exception's `__cause__`, and the sweep moves on; only a broken pool
+    raises out of the sweep.
 
     The runs are independent, so they are all submitted at once through
     `process_pool`; results are read back in grid order, so every report
     field, file byte and `progress` message is the same as one core would
     give. When this call returns or raises, no worker process is left.
     """
-    from concurrent.futures import BrokenExecutor  # lazy, as in `process_pool`
-
     grid = sweep_grid(variabilities, percentages, repeats, base)
     configs = [cfg for _, cell_configs in grid for cfg in cell_configs]
     report = SweepReport()
     if raw is not None:
         raw.write(CSV_HEADER + "\n")
-    with process_pool(_run_one, configs) as futures:
-        pending = iter(futures)
+    with process_pool(_run_one, configs) as results:
         for (var, pct), cell_configs in grid:
             cell = ConfusionCounts(0, 0, 0)
-            done = 0
-            for cfg, future in zip(cell_configs, pending):
+            first = len(report.runs)
+            for cfg in cell_configs:
                 if progress is not None:
                     progress(f"var={_num(var)} mal={_num(pct)}% seed={cfg.seed}")
-                try:
-                    run = future.result()
-                except BrokenExecutor:
-                    raise  # the pool itself failed, not this run
-                except Exception as exc:  # keep sweeping, report at the end
-                    report.failures.append((cfg, exc))
+                run, worker_traceback = next(results)
+                if worker_traceback is not None:  # `run` is what it raised
+                    run.__cause__ = Exception(worker_traceback)  # as a pool shows it
+                    report.failures.append((cfg, run))  # keep sweeping, report at the end
                     continue
                 report.runs.append(run)
-                done += 1
                 cell = cell + run.totals
                 if raw is not None:
                     last = run.samples[-1].time_ms if run.samples else 0
                     raw.write(_row(cfg, last, run.totals) + "\n")
-            report.cells.append(CellSummary(var, pct, cell, done))
+            report.cells.append(CellSummary(var, pct, cell, len(report.runs) - first))
     if summary is not None:
         summary.write(SUMMARY_HEADER + "\n")
         for c in report.cells:

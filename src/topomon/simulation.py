@@ -237,7 +237,7 @@ class World:
         )
         self.nodes[nid] = state if ev.role is Role.HONEST else Adversary(state, self.policy)
         if self.observer is not None:
-            self.observer(self.engine.now, "join", nid, None, ev.role)
+            self.observer(self.engine.now, "join", nid, None, ev)
         for mid, mon in self.monitors.items():
             mon.node_discovered(nid)
             self._schedule_round(mid, nid, 0)
@@ -250,7 +250,7 @@ class World:
             self.nodes[p].forget(nid)
         del self.nodes[nid]
         if self.observer is not None:
-            self.observer(self.engine.now, "leave", nid, None, ev.role)
+            self.observer(self.engine.now, "leave", nid, None, ev)
         for mid, mon in self.monitors.items():
             repair = mon.node_departed(nid)
             self.engine.cancel(self.pending.pop((mid, nid)))

@@ -273,21 +273,24 @@ class Topology:
             bad.append(f"malicious count {self.malicious_count}, recount {mal}")
         return bad
 
-    def edge_list_lines(self, *, include_monitors: bool = False) -> list[str]:
-        lines = [f"{a} {b}" for a, b in sorted(self.peer_edges())]
+    def links(self, *, include_monitors: bool = False) -> list[tuple[int, int]]:
+        """The peer edges, sorted, after each monitor's link to every live peer
+        when `include_monitors` is set: what both export formats write."""
+        links = sorted(self.peer_edges())
         if include_monitors:
-            lines = [
-                f"{m} {n}" for m in self.monitors for n in self.peers_alive()
-            ] + lines
-        return lines
+            links = [(m, n) for m in self.monitors for n in self._alive] + links
+        return links
 
-    def to_dot(self) -> str:
+    def edge_list_lines(self, *, include_monitors: bool = False) -> list[str]:
+        return [f"{a} {b}" for a, b in self.links(include_monitors=include_monitors)]
+
+    def to_dot(self, *, include_monitors: bool = False) -> str:
         out = ["digraph overlay {"]
         for n in sorted(self.roles):
             role = self.roles[n]
             shape = {"honest": "ellipse", "malicious": "box", "monitor": "diamond"}[role.value]
             out.append(f'  n{n} [label="{n}" shape={shape}];')
-        for a, b in sorted(self.peer_edges()):
+        for a, b in self.links(include_monitors=include_monitors):
             out.append(f"  n{a} -> n{b};")
         out.append("}")
         return "\n".join(out) + "\n"

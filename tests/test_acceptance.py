@@ -59,8 +59,8 @@ def prefetch_cells(cells) -> None:
     ]
     if not configs:
         return
-    with process_pool(_timed_run, configs) as futures:
-        runs = [f.result() for f in futures]
+    with process_pool(_timed_run, configs) as results:
+        runs = list(results)
     for k, cell in enumerate(todo):
         mine = runs[k * SEEDS : (k + 1) * SEEDS]
         total = sum((counts for counts, _ in mine), ConfusionCounts(0, 0, 0))
@@ -161,9 +161,10 @@ def test_criterion_3_static_honest_exactness():
         )
         for trial in range(1000)
     ]
-    with process_pool(_exactness_trial, trials) as futures:
-        bad = sum(not f.result() for f in futures)
-    assert len(futures) == 1000
+    with process_pool(_exactness_trial, trials) as results:
+        exact = list(results)
+    bad = sum(not ok for ok in exact)
+    assert len(exact) == 1000
     report(
         3,
         "static honest overlays: every monitor's local view exact "
@@ -221,8 +222,8 @@ CRITERION_4_ROWS = 106_553
 def test_criterion_4_misdirection_never_verifies_wrong_peers():
     rng = random.Random(0xACC4)
     trials = [_misdirection_trial(rng, behavior) for behavior in (1, 2, 3) for _ in range(1000)]
-    with process_pool(_misdirection_rows, trials) as futures:
-        counts = [f.result() for f in futures]
+    with process_pool(_misdirection_rows, trials) as results:
+        counts = list(results)
     violations = sum(v for v, _ in counts)
     assert len(counts) == 3000
     assert sum(rows for _, rows in counts) == CRITERION_4_ROWS
@@ -265,9 +266,10 @@ def test_criterion_5_enforcement_restores_global_equivalence():
                 rng.sample(range(monitors), rng.randint(0, monitors))
             )
             trials.append((cfg, mole, SingleBehavior(6, drop_for=drop)))
-    with process_pool(_enforcement_trial, trials) as futures:
-        mismatches = sum(not f.result() for f in futures)
-    assert len(futures) == 1000
+    with process_pool(_enforcement_trial, trials) as results:
+        equal = list(results)
+    mismatches = sum(not ok for ok in equal)
+    assert len(equal) == 1000
     report(
         5,
         "after the safe period the agreed view equals ground truth, "
@@ -329,8 +331,8 @@ def _window_trial(seed: int) -> int | None:
 
 
 def test_criterion_6_detection_within_majority_refresh_window():
-    with process_pool(_window_trial, range(100)) as futures:
-        lags = [f.result() for f in futures]
+    with process_pool(_window_trial, range(100)) as results:
+        lags = list(results)
     bound_ms = 1_000 * max_error_window([1, 5, 5, 10]) + 1_000  # window + round
     worst = max((lag for lag in lags if lag is not None), default=None)
     empirically_ok = all(lag is not None and lag <= bound_ms for lag in lags)

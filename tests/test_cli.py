@@ -213,6 +213,16 @@ def test_export_dot_to_file(tmp_path):
     assert text.startswith("digraph") and "->" in text
 
 
+def test_export_includes_monitor_links_in_both_formats(capsys):
+    export = ["export-topology", "--nodes", "3", "--monitors", "1", "--include-monitors"]
+    assert main(export) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == ["0 1", "0 2", "0 3"]
+    assert main(export + ["--format", "dot"]) == 0
+    arrows = [ln for ln in capsys.readouterr().out.splitlines() if "->" in ln]
+    assert arrows == [f"  n{a} -> n{b};" for a, b in (ln.split() for ln in lines)]
+
+
 def test_negative_settle_time_exits_2(capsys):
     rc = main(["export-topology", "--nodes", "8", "--monitors", "1", "--settle-ms", "-5"])
     assert rc == 2

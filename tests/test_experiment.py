@@ -142,6 +142,35 @@ def test_failed_run_keeps_a_readable_exception_and_leaves_no_worker():
     for _, exc in report.failures:
         assert type(exc) is ConfigInvalid
         assert repr(exc) == repr(want) and exc.problems == want.problems
+        worker_traceback = str(exc.__cause__)  # where in the worker it was raised
+        assert worker_traceback.startswith("Traceback (most recent call last):")
+        assert "in _run_one" in worker_traceback and "raise ConfigInvalid(" in worker_traceback
+    assert multiprocessing.active_children() == []
+
+
+def _square(x: int) -> int:
+    return x * x
+
+
+def test_pool_returns_results_in_item_order_with_several_items_per_chunk():
+    # more than 64 items per worker, so each chunk carries several items
+    items = list(range(3 * 64 * (os.cpu_count() or 1) + 7))
+    with experiment.process_pool(_square, items) as results:
+        assert list(results) == [x * x for x in items]
+    assert multiprocessing.active_children() == []
+
+
+def _fails_on_7(x: int) -> int:
+    if x == 7:
+        raise KeyError(x)
+    return x
+
+
+def test_pool_call_that_raises_reaches_the_caller_and_leaves_no_worker():
+    with pytest.raises(KeyError) as info:
+        with experiment.process_pool(_fails_on_7, list(range(500))) as results:
+            list(results)
+    assert "in _fails_on_7" in str(info.value.__cause__)  # the worker's traceback
     assert multiprocessing.active_children() == []
 
 

@@ -238,6 +238,44 @@ def test_observers_draw_no_rng_and_write_the_same_bytes(cfg):
     assert snaps_only[2][1] == both[2][1] != ""
 
 
+class MirroredWorld(World):
+    """A world whose observer rebuilds every out row from the observer's data
+    alone, and checks each join and leave against the ground truth."""
+
+    def __init__(self, cfg: ExperimentConfig) -> None:
+        self.mirror: dict[int, set[int]] = {}
+        super().__init__(cfg, observer=self.observe)
+
+    def observe(self, now, kind, frm, to, data) -> None:
+        rows = self.mirror
+        if kind == "join":
+            assert data.node == frm and set(data.targets) == self.topo.out[frm]
+            rows[frm] = set(data.targets)
+        elif kind == "leave":
+            assert data.node == frm and data.severed_out == tuple(sorted(rows.pop(frm)))
+            orphans = sorted(p for p, row in rows.items() if frm in row)
+            assert [p for p, _ in data.rewired] == orphans
+            for p, t in data.rewired:
+                rows[p] = (rows[p] - {frm}) | ({t} - {None})
+                assert rows[p] == self.topo.out[p]
+        elif kind == "refill":
+            rows[frm].add(to)
+        elif kind == "disconnect":
+            rows[data[0]].discard(data[1])
+
+
+@given(observed_worlds())
+@settings(max_examples=25, deadline=None)
+def test_join_and_leave_events_match_the_ground_truth(cfg):
+    # each join's targets are the new node's out row at that moment; each
+    # leave's orphans are the nodes whose row held the leaver, and each
+    # replacement edge is in its orphan's row; from these and the edge calls
+    # alone, an observer keeps every out row right to the end of the run
+    w = MirroredWorld(cfg)
+    w.run()
+    assert w.mirror == w.topo.out
+
+
 def test_global_snapshot_matches_truth_in_honest_world():
     w = World(small())
     w.run()
