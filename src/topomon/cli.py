@@ -245,6 +245,8 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
+    if args.settle_ms < 0:
+        raise ValueError("--settle-ms must be >= 0")
     cfg = build_config(args)
     if args.settle_ms > cfg.duration_ms:  # the run ends there; churn must not go on
         raise ValueError(f"--settle-ms {args.settle_ms} exceeds duration_ms {cfg.duration_ms}")

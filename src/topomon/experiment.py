@@ -14,6 +14,7 @@ invocations produce byte-identical output.
 """
 from __future__ import annotations
 
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -31,8 +32,8 @@ class EmptySweep(ValueError):
 
 
 def _num(x: float) -> str:
-    # 10.0 -> "10", 2.5 -> "2.5"; keeps rows stable and greppable
-    return str(int(x)) if float(x) == int(x) else repr(float(x))
+    # 10.0 -> "10", 2.5 -> "2.5", nan -> "nan"; keeps rows stable and greppable
+    return str(int(x)) if math.isfinite(x) and x == int(x) else repr(float(x))
 
 
 def _ratio(x: float | None) -> str:

@@ -1,31 +1,33 @@
 """Monitor-side scanning and snapshot aggregation.
 
 A monitor probes one target at a time per node: it sends a nonce-carrying
-marker to the target, collects the relays that bounce back within the
-timeout, and rewrites the target's outbound row in its local view from the
-collected set. The per-node scan frequency breathes with observed change:
-idle rows slow down, churning rows speed up.
+marker to the target and adds to the target's outbound row in its local
+view each peer whose relay bounces back within the timeout. The per-node
+scan frequency breathes with observed change: idle rows slow down,
+churning rows speed up.
 
 The round lifecycle lives here: `start_round` opens a round, `close_round`
-rewrites the row, adapts the frequency and returns the confirmation list
-with the delay from this round's start to the next; this layer never
-reads the clock.
+expires the row's unconfirmed peers, adapts the frequency and returns the
+confirmation list with the delay from this round's start to the next;
+this layer never reads the clock.
 
 The view is kept as per-node rows: `out[a]` holds the peers a's outbound
 row points at and `inb[b]` the nodes whose rows point at b, always the
-mirror of each other. Every round reads and rewrites only its target's
-row and the rows of that target's neighbours, so a round costs O(degree)
-whatever the population; the aggregate snapshot is the only pass over
-every edge, and `edges` derives the flat (a, b) pairs on demand.
+mirror of each other. Every round touches only its target's row and the
+rows of that target's neighbours, so a round costs O(degree) whatever the
+population; the aggregate snapshot is the only pass over every edge, and
+`edges` derives the flat (a, b) pairs on demand.
 
-Two timeliness details matter for how fresh the view stays under churn:
-relayed confirmations are inserted into the view the moment they arrive
-(removals still wait for round close), and a departure triggers immediate
-re-scans of every node whose row pointed at the departed peer.
+An edge has one way in and two ways out, which sets how fresh the view
+stays under churn: `receive_marker` inserts a confirmed link the moment
+its relay arrives; the link leaves when a round on its row closes without
+confirming it, or when either end departs, and a departure also triggers
+immediate re-scans of every node whose row pointed at the departed peer.
 """
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from collections.abc import KeysView, Set as AbstractSet
 from dataclasses import dataclass
 
@@ -76,8 +78,8 @@ class Monitor:
         self.f_max = f_max
         self.mode = mode
         self.adaptive = adaptive
-        self.out: dict[int, set[int]] = {}
-        self.inb: dict[int, set[int]] = {}
+        self.out: defaultdict[int, set[int]] = defaultdict(set)
+        self.inb: defaultdict[int, set[int]] = defaultdict(set)
         self.freq: dict[int, int] = {}  # its keys are the monitored nodes
         self.rounds: dict[int, Round] = {}
 
@@ -140,22 +142,15 @@ class Monitor:
         if sender == target or sender == self.id or sender not in self.freq:
             return False
         rnd.collected.add(sender)
-        # confirmed link, visible at once; a row is built only when missing
-        row = self.out.get(target)
-        if row is None:
-            row = self.out[target] = set()
-        row.add(sender)
-        row = self.inb.get(sender)
-        if row is None:
-            row = self.inb[sender] = set()
-        row.add(target)
+        self.out[target].add(sender)  # the one insertion: visible at once
+        self.inb[sender].add(target)
         return True
 
     def close_round(self, target: int, rng: random.Random) -> tuple[VerifiedMsg, int]:
-        """Rewrite the target's row from the round's relays, adapt its scan
-        frequency, and return the confirmation list for the target with the
-        delay in ms from this round's start to the next: 0, drawing nothing
-        from `rng`, when a departure flagged the row for repair."""
+        """Expire the peers the round did not confirm, adapt the target's
+        scan frequency, and return its confirmation list with the delay in
+        ms from this round's start to the next: 0, drawing nothing from
+        `rng`, when a departure flagged the row for repair."""
         rnd = self.rounds.pop(target, None)
         if rnd is None:
             raise NoOpenRound(f"monitor {self.id} target {target}")
@@ -170,19 +165,14 @@ class Monitor:
     def update_topology(
         self, target: int, collected: AbstractSet[int], prior: frozenset[int]
     ) -> int:
-        """Rewrite the target's outbound row from the collected set and
-        return how many edges changed against `prior`, the pre-round row.
-        Only the mirror rows of peers entering or leaving the row are touched."""
-        row = self.freq.keys() & collected
-        old = self.out.get(target, frozenset())
-        for b in old - row:
+        """Drop from the target's outbound row every peer not in `collected`,
+        with its mirror entry, and return how many edges changed against
+        `prior`, the pre-round row. Nothing is inserted here: each confirmed
+        peer entered the row when `receive_marker` accepted its relay."""
+        row = self.out[target]
+        for b in row - collected:
+            row.discard(b)
             self.inb[b].discard(target)
-        for p in row - old:
-            mirror = self.inb.get(p)
-            if mirror is None:
-                mirror = self.inb[p] = set()
-            mirror.add(target)
-        self.out[target] = row
         return len(prior.symmetric_difference(collected))
 
     def adjust_frequency(self, target: int, c: int) -> None:

@@ -113,6 +113,16 @@ def test_failed_runs_are_collected_not_raised():
     assert summary.getvalue().splitlines()[1] == "0,0,,"  # undefined ratios stay blank
 
 
+def test_non_finite_grid_values_are_failed_runs_not_a_broken_sweep():
+    seen, summary = [], io.StringIO()
+    report = run_sweep([float("nan"), float("inf")], [0], 1, base=tiny(),
+                       summary=summary, progress=seen.append)
+    assert [type(exc) for _, exc in report.failures] == [ConfigInvalid, ConfigInvalid]
+    assert seen == ["var=nan mal=0% seed=1", "var=inf mal=0% seed=1"]
+    assert summary.getvalue().splitlines()[1:] == ["nan,0,,", "inf,0,,"]
+    assert multiprocessing.active_children() == []
+
+
 def test_sweep_reports_in_grid_order_and_leaves_no_worker():
     seen = []
     report = run_sweep([10.0, 0.0], [0, 20], 2, base=tiny(seed=100), progress=seen.append)

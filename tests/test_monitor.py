@@ -1,4 +1,4 @@
-"""Round lifecycle, view rewriting, frequency adaptation, aggregation."""
+"""Round lifecycle, view insertion and expiry, frequency adaptation, aggregation."""
 from __future__ import annotations
 
 import random
@@ -37,6 +37,15 @@ def run_round(mon: Monitor, target: int, relays) -> int:
     t, c = adjust.call_args.args
     assert t == target
     return c
+
+
+def confirm(mon: Monitor, target: int, peers) -> None:
+    """Put `target -> p` for each p into the view the one way an edge enters
+    it: a round whose relays come from `peers`."""
+    m = mon.start_round(target, random.Random(0))
+    for p in peers:
+        assert mon.receive_marker(p, m)
+    mon.close_round(target, random.Random(0))
 
 
 # -- rounds -------------------------------------------------------------------
@@ -96,7 +105,7 @@ def test_duplicate_relay_is_idempotent():
     assert mon.outbound_row(1) == frozenset({2})
 
 
-# -- view rewriting -----------------------------------------------------------
+# -- view insertion and expiry ------------------------------------------------
 
 
 def test_change_count_zero_when_row_confirmed():
@@ -116,6 +125,14 @@ def test_change_count_is_symmetric_difference():
 def test_change_count_from_empty_prior():
     mon = monitor()
     assert run_round(mon, 1, [2, 3, 4]) == 3
+
+
+def test_round_close_only_expires():
+    mon = monitor()
+    confirm(mon, 1, [2, 3])
+    assert mon.update_topology(1, {2, 4}, mon.outbound_row(1)) == 2
+    assert mon.edges == {(1, 2)}  # 3 expired; no relay confirmed 4
+    assert {b: col for b, col in mon.inb.items() if col} == {2: {1}}  # mirror expired too
 
 
 def test_update_drops_vanished_nodes_from_row():
@@ -169,7 +186,7 @@ def test_close_returns_confirmations_and_delay_to_next_start(adaptive, freq):
     mon = Monitor(100, mode="fixed", adaptive=adaptive)
     for n in (1, 2, 3, 4):
         mon.node_discovered(n)
-    mon.update_topology(4, frozenset({1}), frozenset())
+    confirm(mon, 4, [1])
     m = mon.start_round(1, random.Random(1))
     mon.receive_marker(2, m)
     mon.receive_marker(3, m)
@@ -222,8 +239,8 @@ def test_poisson_mode_delay_clamped_and_centered():
 
 def test_verified_message_joins_outbound_row_and_inbound_edges():
     mon = monitor()
-    mon.update_topology(1, frozenset({2}), mon.outbound_row(1))
-    mon.update_topology(3, frozenset({1}), mon.outbound_row(3))
+    confirm(mon, 1, [2])
+    confirm(mon, 3, [1])
     assert mon.build_verified_message(1).verified_peers == frozenset({2, 3})
 
 
@@ -249,7 +266,7 @@ def views_with_edge_counts(gamma: int, confirmations: int):
         v.node_discovered(1)
         v.node_discovered(2)
         if i < confirmations:
-            v.update_topology(1, frozenset({2}), v.outbound_row(1))
+            confirm(v, 1, [2])
         views.append(v)
     return views
 
@@ -281,7 +298,7 @@ def test_adding_a_confirming_view_never_removes_edges():
     extra = Monitor(999)
     extra.node_discovered(1)
     extra.node_discovered(2)
-    extra.update_topology(1, frozenset({2}), extra.outbound_row(1))
+    confirm(extra, 1, [2])
     grown = compute_global_snapshot(base + [extra])
     assert compute_global_snapshot(base).edges <= grown.edges
 

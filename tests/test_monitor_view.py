@@ -1,7 +1,8 @@
 """The per-node monitor view agrees with a flat (a, b) edge-set model under
-random sequences of discoveries, departures, rounds and row rewrites, and
-a departure's repairs run at once or, for a row with an open round, when
-that round closes."""
+random sequences of discoveries, departures, rounds and row expiries: an
+edge enters only when a relay is accepted, and a round close never grows a
+row. A departure's repairs run at once or, for a row with an open round,
+when that round closes."""
 from __future__ import annotations
 
 import random
@@ -33,9 +34,8 @@ class FlatView:
         self.edges = {(a, b) for a, b in self.edges if n not in (a, b)}
         return repair
 
-    def update(self, t: int, collected: frozenset[int]) -> None:
-        self.edges = {(a, b) for a, b in self.edges if a != t}
-        self.edges |= {(t, p) for p in collected if p in self.nodes}
+    def expire(self, t: int, collected: frozenset[int]) -> None:
+        self.edges = {(a, b) for a, b in self.edges if a != t or b in collected}
 
     def verified(self, t: int) -> frozenset[int]:
         return self.row(t) | {a for a, b in self.edges if b == t}
@@ -113,9 +113,10 @@ class MonitorViewMachine(RuleBasedStateMachine):
         prior = self.mon.rounds[t].prior_row
         assert prior == self.priors.pop(t)
         collected = frozenset(self.collected.pop(t))
-        f = self.mon.freq[t]
+        f, row = self.mon.freq[t], self.mon.outbound_row(t)
         _, delay = self.mon.close_round(t, self.rng)
-        self.model.update(t, collected)
+        assert self.mon.outbound_row(t) <= row  # a close only expires
+        self.model.expire(t, collected)
         c = len(prior ^ collected)
         assert self.mon.freq[t] == adapted(f, c)
         # a repair flag means scan again at once; otherwise at least f_min s
@@ -128,7 +129,8 @@ class MonitorViewMachine(RuleBasedStateMachine):
             return
         prior = self.model.row(t)
         c = self.mon.update_topology(t, collected, self.mon.outbound_row(t))
-        self.model.update(t, collected)
+        assert self.mon.outbound_row(t) == prior & collected  # never grows
+        self.model.expire(t, collected)
         assert c == len(prior ^ collected)
 
     @invariant()

@@ -276,6 +276,22 @@ def test_join_and_leave_events_match_the_ground_truth(cfg):
     assert w.mirror == w.topo.out
 
 
+@given(observed_worlds())
+@settings(max_examples=25, deadline=None)
+def test_an_accepted_relay_is_in_the_view_when_delivered(cfg):
+    # the relay's arrival is the one way an edge enters a monitor's view
+    accepted = []
+
+    def observe(now, kind, frm, to, data):
+        if kind == "marker_to_monitor" and data[1]:
+            accepted.append(frm)
+            assert frm in w.monitors[to].outbound_row(data[0].target)
+
+    w = World(cfg, observer=observe)
+    w.run()
+    assert accepted
+
+
 def test_global_snapshot_matches_truth_in_honest_world():
     w = World(small())
     w.run()
@@ -672,6 +688,8 @@ class WorldMachine(RuleBasedStateMachine):
             for rows in (mon.out, mon.inb):
                 assert rows.keys() <= mon.nodes
                 assert all(row <= mon.nodes for row in rows.values())
+            pairs = {(a, b) for a, row in mon.out.items() for b in row}
+            assert pairs == {(a, b) for b, col in mon.inb.items() for a in col}
             assert {k for k in w.pending if k[0] == mid} == {(mid, t) for t in live}
             for t in live:
                 due = w.engine.due(w.pending[(mid, t)])
