@@ -7,10 +7,15 @@ inbound edge, for a known monitor) bounces back to the monitor. It drops the res
 
 Reputation is a per-peer tally of monitor confirmations. A peer is cut
 loose once at most half the monitors still vouch for it, but never before
-every monitor has reported safe_rounds times for that peer.
+every monitor has reported safe_rounds times for that peer. Each peer's
+record is one flat list, `[short, refusals, bit_0, reports_0, ...]`: the
+monitors still short of safe_rounds reports, those not vouching, then each
+monitor's latest bit and report count at the index `NodeState.monitors`
+maps it to, `2 + 2 * rank` among the sorted monitor ids.
 
 A node's `outbound` and `inbound` sets are its rows of the ground-truth
-`Topology`, shared by reference; the node owns only one reputation record
+`Topology`, and its monitor map is the one `monitor_slots` dict of its
+`World`, all shared by reference; the node owns only one reputation record
 per reported peer. Honest and malicious nodes answer through the same two
 calls: `handle_marker` returns `Send`s, and `handle_verified` the sorted ids
 of the peers to disconnect.
@@ -48,26 +53,33 @@ class UnknownPeer(Exception):
     pass
 
 
+def monitor_slots(monitors: Iterable[int]) -> dict[int, int]:
+    """monitor id -> the index of its (bit, reports) pair in a reputation record."""
+    return {m: 2 + 2 * rank for rank, m in enumerate(sorted(monitors))}
+
+
 class NodeState:
     """Protocol-visible state of one honest node."""
+
+    __slots__ = ("id", "monitors", "safe_rounds", "outbound", "inbound", "tallies")
 
     def __init__(
         self,
         node_id: int,
-        monitors: set[int],
+        monitors: Iterable[int] | dict[int, int],
         safe_rounds: int = 3,
         *,
         outbound: AbstractSet[int] = frozenset(),
         inbound: AbstractSet[int] = frozenset(),
     ) -> None:
         self.id = node_id
-        self.monitors = frozenset(monitors)
+        # a `monitor_slots` map is held by reference; bare ids get their own
+        self.monitors = monitors if isinstance(monitors, dict) else monitor_slots(monitors)
         self.safe_rounds = safe_rounds
         # the node's Topology rows, held by reference and only ever read here
         self.outbound, self.inbound = outbound, inbound
-        # peer -> [monitors short of safe_rounds reports, monitors not vouching,
-        # {monitor: [latest bit, reports]}]; a peer or monitor with no entry
-        # has not been reported yet: vouched for, 0 reports
+        # peer -> its flat record (module docstring); a peer with no entry has
+        # not been reported yet: every monitor vouches, with 0 reports
         self.tallies: dict[int, list] = {}
 
     def peers(self) -> set[int]:
@@ -117,26 +129,24 @@ class NodeState:
         return rec is not None and rec[0] == 0 and 2 * rec[1] >= len(self.monitors)
 
     def handle_verified(self, from_monitor: int, v: VerifiedMsg) -> list[int]:
-        if from_monitor not in self.monitors:
+        slot = self.monitors.get(from_monitor)
+        if slot is None:
             return []  # unknown sender, dropped
         tallies, safe, verified = self.tallies, self.safe_rounds, v.verified_peers
         n = len(self.monitors)
         cut = []
         # a report for p touches only p's record, so p is judged right away;
-        # a slot starts as [vouching, 0 reports] and a bit is written on a flip
+        # a pair starts as (vouching, 0 reports) and a bit is written on a flip
         for p in self.outbound | self.inbound:
             rec = tallies.get(p)
             if rec is None:
-                rec = tallies[p] = [n if safe else 0, 0, {}]
-            slot = rec[2].get(from_monitor)
-            if slot is None:
-                slot = rec[2][from_monitor] = [1, 0]
+                rec = tallies[p] = [n if safe else 0, 0] + [1, 0] * n
             bit = p in verified
-            if slot[0] != bit:
-                slot[0] = bit
+            if rec[slot] != bit:
+                rec[slot] = bit
                 rec[1] += -1 if bit else 1
-            slot[1] += 1
-            if slot[1] == safe:
+            rec[slot + 1] += 1
+            if rec[slot + 1] == safe:
                 rec[0] -= 1
             if rec[0] == 0 and 2 * rec[1] >= n:
                 cut.append(p)

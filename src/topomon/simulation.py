@@ -40,7 +40,7 @@ from topomon.adversary import Adversary, AdversaryPolicy, SingleBehavior
 from topomon.engine import POISSON_MAX_MEAN, Engine, sample_exponential, substream
 from topomon.metrics import ConfusionCounts, OverheadLedger, classify_edges
 from topomon.monitor import SCHEDULING_MODES, Monitor, compute_global_snapshot
-from topomon.protocol import NodeState
+from topomon.protocol import NodeState, monitor_slots
 from topomon.topology import NodeAdded, NodeRemoved, Role, Topology
 
 
@@ -212,7 +212,7 @@ class World:
                 adaptive=cfg.adaptive,
             )
         # monitors all join first, with rising ids: `self.monitors` iterates in id order
-        self._monitor_ids = frozenset(self.monitors)  # one set shared by every NodeState
+        self._monitor_slots = monitor_slots(self.monitors)  # one map shared by every NodeState
         for _ in range(cfg.nodes):
             role = self.topo.steer_add_role(cfg.malicious_pct)
             self._node_joined(self.topo.add_node(role, self.rng_topology))
@@ -230,7 +230,7 @@ class World:
         nid, topo = ev.node, self.topo
         state = NodeState(
             nid,
-            self._monitor_ids,
+            self._monitor_slots,
             self.cfg.safe_rounds,
             outbound=topo.out[nid],
             inbound=topo.inb[nid],
@@ -260,8 +260,8 @@ class World:
 
     def convert_to_malicious(self, nid: int, single: SingleBehavior | None = None) -> Adversary:
         """Test aid: flip an existing honest node to a malicious one."""
-        if self.topo.roles[nid] is not Role.HONEST:
-            raise ValueError(f"node {nid} is not honest")
+        if self.topo.roles.get(nid) is not Role.HONEST:
+            raise ValueError(f"node {nid} is not a live honest node")
         self.topo.set_role(nid, Role.MALICIOUS)
         adv = Adversary(self.nodes[nid], self.policy, single)
         self.nodes[nid] = adv

@@ -1,8 +1,9 @@
-"""The paired A/B tool: its summary, its mismatch check, and its refusal
-to time a `topomon` imported from another tree."""
+"""The paired A/B tool: its summary, its peak-RSS report, its mismatch check,
+and its refusal to time a `topomon` imported from another tree."""
 from __future__ import annotations
 
 import importlib.util
+import json
 import math
 import shutil
 import subprocess
@@ -17,9 +18,10 @@ paired_bench = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(paired_bench)
 
 
-def result(setup: float, cpu: float, wall: float, events: int = 10, probes=((5, 1, 0, 0),)):
+def result(setup: float, cpu: float, wall: float, events: int = 10, probes=((5, 1, 0, 0),),
+           maxrss_kb: int = 20480):
     return {"setup_cpu_s": setup, "run_cpu_s": cpu, "run_wall_s": wall,
-            "events": events, "probes": [list(p) for p in probes]}
+            "maxrss_kb": maxrss_kb, "events": events, "probes": [list(p) for p in probes]}
 
 
 def test_summary_is_the_geomean_of_b_over_a_and_counts_faster_pairs():
@@ -34,6 +36,27 @@ def test_summary_is_the_geomean_of_b_over_a_and_counts_faster_pairs():
     # a zero time has no ratio: it is left out, not counted as faster
     assert s["setup_cpu_s"] == {"geomean_ratio": 1.0, "faster_on_b": 0, "pairs": 1}
     assert paired_bench.mismatches(pairs) == []
+
+
+def test_peak_rss_is_each_sides_largest_reading_in_mb():
+    pairs = [
+        (0, 0, result(1, 1, 1, maxrss_kb=30720), result(1, 1, 1, maxrss_kb=25600)),
+        (0, 1, result(1, 1, 1, maxrss_kb=20480), result(1, 1, 1, maxrss_kb=28672)),
+    ]
+    assert paired_bench.peak_rss(pairs) == {"a": 30.0, "b": 28.0, "ratio": 28.0 / 30.0}
+
+
+def test_servers_report_their_peak_rss_with_every_world():
+    out = subprocess.run(
+        [sys.executable, str(TOOL), "--a", str(ROOT), "--b", str(ROOT),
+         "--workload", "scale_static", "--rounds", "1"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0, out.stdout + out.stderr
+    *lines, last = out.stdout.splitlines()
+    rss = json.loads(last)["peak_rss_mb"]
+    assert rss["a"] > 0 and rss["b"] > 0 and rss["ratio"] == rss["b"] / rss["a"]
+    assert f"peak RSS     a {rss['a']:.2f} MB  b {rss['b']:.2f} MB  b/a {rss['ratio']:.3f}" in lines
 
 
 def test_differing_events_or_probes_are_mismatches():

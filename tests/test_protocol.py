@@ -132,10 +132,11 @@ def test_check_reputation_rejects_strangers():
 def test_handle_verified_updates_statuses_and_counts():
     n = node(nid=1, out=(7, 8), inb=(9,))
     n.handle_verified(100, VerifiedMsg(frozenset({7, 9})))
-    # per peer: [monitors short of safe_rounds, refusals, {monitor: [bit, reports]}]
-    assert n.tallies[7] == [4, 0, {100: [1, 1]}]
-    assert n.tallies[8] == [4, 1, {100: [0, 1]}]  # 101 has not reported
-    assert n.tallies[9] == [4, 0, {100: [1, 1]}]
+    # per peer: [monitors short of safe_rounds, refusals, then (bit, reports)
+    # for monitors 100, 101, 102 and 103]
+    assert n.tallies[7] == [4, 0, 1, 1, 1, 0, 1, 0, 1, 0]
+    assert n.tallies[8] == [4, 1, 0, 1, 1, 0, 1, 0, 1, 0]  # 101 has not reported
+    assert n.tallies[9] == [4, 0, 1, 1, 1, 0, 1, 0, 1, 0]
     assert [n.reputation(p) for p in (7, 8, 9)] == [4, 3, 4]
 
 
@@ -235,22 +236,29 @@ class PerMonitorRule:
 
 
 PEERS = (5, 6, 7)
-reputation_ops = st.lists(
-    st.one_of(
-        # a report from monitor index 0..7: indices past gamma are unknown senders
-        st.tuples(st.just("report"), st.integers(0, 7), st.frozensets(st.sampled_from(PEERS))),
-        st.tuples(st.just("forget"), st.sampled_from(PEERS), st.just(frozenset())),
-    ),
-    max_size=60,
-)
 
 
-@given(gamma=st.integers(1, 7), safe=st.integers(0, 4), ops=reputation_ops)
+def reputation_ops(monitors: set[int]):
+    """Reports from the monitors or from unknown senders outside them, and forgets."""
+    stranger = st.integers(0, 10**6).filter(lambda m: m not in monitors)
+    sender = st.one_of(st.sampled_from(sorted(monitors)), stranger)
+    return st.lists(
+        st.one_of(
+            st.tuples(st.just("report"), sender, st.frozensets(st.sampled_from(PEERS))),
+            st.tuples(st.just("forget"), st.sampled_from(PEERS), st.just(frozenset())),
+        ),
+        max_size=60,
+    )
+
+
+@given(monitors=st.sets(st.integers(0, 10**6), min_size=1, max_size=7),
+       safe=st.integers(0, 4), data=st.data())
 @settings(max_examples=300, deadline=None)
-def test_reputation_record_matches_per_monitor_rule(gamma, safe, ops):
-    n = node(monitors=range(gamma), out=(5, 6), inb=(7,), safe_rounds=safe)
-    ref = PerMonitorRule(range(gamma), safe)
-    for op, arg, verified in ops:
+def test_reputation_record_matches_per_monitor_rule(monitors, safe, data):
+    # sparse ids, handed over unsorted: a monitor's pair sits at its id's rank
+    n = NodeState(1, list(monitors), safe, outbound={5, 6}, inbound={7})
+    ref = PerMonitorRule(monitors, safe)
+    for op, arg, verified in data.draw(reputation_ops(monitors)):
         if op == "report":
             got = n.handle_verified(arg, VerifiedMsg(verified))
             assert got == ref.handle_verified(arg, PEERS, verified)

@@ -351,6 +351,31 @@ def test_node_states_mirror_topology_under_churn():
     assert adversaries == set(w.topo.malicious_alive())
 
 
+def test_every_node_shares_the_worlds_one_monitor_map():
+    cfg = ExperimentConfig(nodes=20, monitors=3, variability_s=0.5, malicious_pct=0.3,
+                           duration_ms=10_000, probe_every_ms=10_000, seed=5)
+    w = World(cfg)
+
+    def maps() -> list[dict[int, int]]:
+        return [getattr(h, "state", h).monitors for h in w.nodes.values()]
+
+    first = set(w.nodes)
+    shared = maps()[0]
+    assert shared == {0: 2, 1: 4, 2: 6}  # monitor id -> its pair's index in a record
+    assert any(isinstance(h, Adversary) for h in w.nodes.values())
+    assert all(m is shared for m in maps())
+    w.run()
+    assert set(w.nodes) - first, "fixture needs a churn join"
+    assert all(m is shared for m in maps())
+
+
+def test_converting_a_node_that_is_not_live_names_it():
+    w = World(small())
+    with pytest.raises(ValueError, match="node 999 is not a live honest node"):
+        w.convert_to_malicious(999)
+    assert 999 not in w.nodes and 999 not in w.topo.roles
+
+
 def test_manual_edge_close_disappears_from_monitor_views():
     w = World(small(f_init=1, duration_ms=6_000, probe_every_ms=6_000))
     a, b = next(iter(sorted(w.topo.peer_edges())))

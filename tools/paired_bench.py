@@ -16,8 +16,11 @@ taken back to back mostly can.
 
 For each world and round it prints the b ÷ a ratios of set-up CPU, run
 CPU and run wall time, then per metric the geometric mean of the ratios
-and how many runs were faster on b. The last line is one JSON object with
-the same summary. The two sides run under different hash seeds.
+and how many runs were faster on b. Each server also reports its
+`ru_maxrss` after every world, and the tool prints each side's peak
+resident set (its largest world's, on top of the interpreter and its
+imports) and their b ÷ a ratio. The last line is one JSON object with the
+same summary. The two sides run under different hash seeds.
 
 Exit status: 0 when every world's event count and probe samples agree
 between the sides, 1 when any differ or a side fails, 2 on bad arguments.
@@ -31,6 +34,7 @@ import importlib.util
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -82,9 +86,11 @@ def serve(root: Path, workload: str, seed: int) -> None:
             "setup_cpu_s": c1 - c0,
             "run_cpu_s": c2 - c1,
             "run_wall_s": w2 - w1,
+            "maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
             "events": world.engine.events_processed,
             "probes": [[s.time_ms, s.tp, s.fp, s.fn] for s in samples],
         }), flush=True)
+        del world  # so the next world's `gc.collect()` frees it, and peaks hold one world
 
 
 # -- comparing the two sides ----------------------------------------------------------
@@ -138,6 +144,13 @@ def summarize(pairs: list[tuple[int, int, dict, dict]]) -> dict:
         out[m] = {"geomean_ratio": mean, "faster_on_b": sum(x < 1 for x in ratios),
                   "pairs": len(ratios)}
     return out
+
+
+def peak_rss(pairs: list[tuple[int, int, dict, dict]]) -> dict:
+    """Each side's peak resident set over all its worlds, in MB (Linux reports
+    `ru_maxrss` in KiB), and b ÷ a."""
+    a, b = (max(pair[side]["maxrss_kb"] for pair in pairs) / 1024 for side in (2, 3))
+    return {"a": a, "b": b, "ratio": b / a}
 
 
 def mismatches(pairs: list[tuple[int, int, dict, dict]]) -> list[str]:
@@ -195,11 +208,13 @@ def main(argv: list[str] | None = None) -> int:
     for m, s in summary.items():
         print(f"{m:<12} geomean b/a {s['geomean_ratio']:.3f}  "
               f"faster on b in {s['faster_on_b']} of {s['pairs']}")
+    rss = peak_rss(pairs)
+    print(f"peak RSS     a {rss['a']:.2f} MB  b {rss['b']:.2f} MB  b/a {rss['ratio']:.3f}")
     bad = mismatches(pairs)
     for line in bad:
         print(f"MISMATCH {line}")
     print(json.dumps({"workload": args.workload, "seed": args.seed, "rounds": args.rounds,
-                      "summary": summary, "mismatches": len(bad)}))
+                      "summary": summary, "peak_rss_mb": rss, "mismatches": len(bad)}))
     return 1 if bad else 0
 
 
