@@ -45,7 +45,7 @@ print(f"\n{len(events)} enforcement events; mole edges now: "
       f"{sorted(e for e in world.topo.peer_edges() if mole in e)}")
 
 for v in victims:
-    print(f"node {v}: banned={sorted(world.topo.banned[v])}, "
+    print(f"node {v}: banned={sorted(world.topo.banned.get(v, ()))}, "
           f"outbound refilled to {sorted(world.topo.out[v])}")
 
 snap = world.global_snapshot()

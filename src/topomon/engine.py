@@ -86,6 +86,12 @@ class Engine:
     def on(self, kind: str, handler: Callable[..., None]) -> None:
         self._handlers[kind] = handler
 
+    def close(self) -> None:
+        """Drop every handler. An owner that registered its bound methods is
+        then no longer in a cycle with this engine, so refcounting frees it
+        without waiting for the cyclic GC; a queued event then has no handler."""
+        self._handlers.clear()
+
     def schedule(self, delay_ms: int, kind: str, *data: Any) -> int:
         if delay_ms < 0:
             raise ValueError("delay_ms must be >= 0")

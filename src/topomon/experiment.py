@@ -75,7 +75,7 @@ class TextArtifacts:
     * disconnect: the closed `(a, b)` edge; `edge=a>b`;
     * marker_from_monitor, marker_forwarded: the `Marker`; `target:value`;
     * marker_to_monitor: `(Marker, accepted)`; `target:value:accepted`, 1 or 0;
-    * verified: the `VerifiedMsg`; its peer ids, sorted, comma-separated;
+    * verified: the `VerifiedMsg`; its peer ids, ascending, comma-separated;
     * probe (`frm`, `to` None): `(monitors by id, GlobalSnapshot)`; no trace
       line, but snapshot lines `time_ms  m<id>  edges` per monitor in id
       order, then `time_ms  global  edges`, each edge an `a>b`, sorted.
@@ -95,7 +95,7 @@ class TextArtifacts:
             if kind == "marker_to_monitor":
                 detail = f"{data[0].target}:{data[0].value}:{int(data[1])}"
             elif kind == "verified":
-                detail = ",".join(str(p) for p in sorted(data.verified_peers))
+                detail = ",".join(map(str, data.verified_peers))
             elif kind == "disconnect":
                 detail = f"edge={data[0]}>{data[1]}"
             elif kind in ("marker_from_monitor", "marker_forwarded"):
@@ -115,7 +115,10 @@ def run_experiment(
     """Simulate one configuration and optionally stream its artifacts."""
     text = trace is not None or snapshots is not None
     world = World(cfg, TextArtifacts(trace, snapshots) if text else None)
-    samples = world.run()
+    try:
+        samples = world.run()
+    finally:
+        world.engine.close()  # so the world is freed at return, not at the next GC pass
     if raw is not None:
         raw.write(CSV_HEADER + "\n")
         for s in samples:

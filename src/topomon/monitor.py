@@ -6,10 +6,13 @@ view each peer whose relay bounces back within the timeout. The per-node
 scan frequency breathes with observed change: idle rows slow down,
 churning rows speed up.
 
-The round lifecycle lives here: `start_round` opens a round, `close_round`
-expires the row's unconfirmed peers, adapts the frequency and returns the
-confirmation list with the delay from this round's start to the next;
-this layer never reads the clock.
+The round lifecycle lives here: `start_round` opens a round, keeping the
+target's row as it stood then as a tuple; `close_round` expires the row's
+unconfirmed peers, adapts the frequency and returns the confirmation list,
+the target's outbound and inbound peers as one ascending tuple, with the
+delay from this round's start to the next; this layer never reads the
+clock. Every node's first round is open at once, so a round and its list
+are kept as tuples, the smallest container for a handful of ids.
 
 The view is kept as per-node rows: `out[a]` holds the peers a's outbound
 row points at and `inb[b]` the nodes whose rows point at b, always the
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
-from collections.abc import KeysView, Set as AbstractSet
+from collections.abc import Iterable, KeysView
 from dataclasses import dataclass
 
 from topomon.engine import sample_poisson
@@ -52,7 +55,7 @@ class EmptyInput(Exception):
 @dataclass(slots=True)
 class Round:
     value: int
-    prior_row: frozenset[int]  # outbound row frozen at round start
+    prior_row: tuple[int, ...]  # outbound row at round start
     collected: set[int]
     rescan: bool = False  # a departure asked for a repair scan while the round was open
 
@@ -125,7 +128,7 @@ class Monitor:
         if target in self.rounds:
             raise RoundAlreadyOpen(f"monitor {self.id} target {target}")
         value = rng.getrandbits(64)
-        self.rounds[target] = Round(value, self.outbound_row(target), set())
+        self.rounds[target] = Round(value, tuple(self.out.get(target, ())), set())
         return new(Marker, (target, self.id, value))
 
     def receive_marker(self, sender: int, m: Marker) -> bool:
@@ -163,7 +166,7 @@ class Monitor:
     # -- view maintenance --------------------------------------------------------
 
     def update_topology(
-        self, target: int, collected: AbstractSet[int], prior: frozenset[int]
+        self, target: int, collected: set[int] | frozenset[int], prior: Iterable[int]
     ) -> int:
         """Drop from the target's outbound row every peer not in `collected`,
         with its mirror entry, and return how many edges changed against
@@ -173,7 +176,7 @@ class Monitor:
         for b in row - collected:
             row.discard(b)
             self.inb[b].discard(target)
-        return len(prior.symmetric_difference(collected))
+        return len(collected.symmetric_difference(prior))
 
     def adjust_frequency(self, target: int, c: int) -> None:
         f = self.freq[target]
@@ -184,8 +187,8 @@ class Monitor:
         # c == 1 leaves the frequency unchanged
 
     def build_verified_message(self, target: int) -> VerifiedMsg:
-        peers = frozenset(self.out.get(target, ()))
-        return VerifiedMsg(peers.union(self.inb.get(target, ())))
+        peers = {*self.out.get(target, ()), *self.inb.get(target, ())}
+        return new(VerifiedMsg, (tuple(sorted(peers)),))
 
     def schedule_next_round(self, target: int, rng: random.Random) -> int:
         """Delay in ms from round start to the next round's start."""

@@ -18,7 +18,9 @@ A node's `outbound` and `inbound` sets are its rows of the ground-truth
 `World`, all shared by reference; the node owns only one reputation record
 per reported peer. Honest and malicious nodes answer through the same two
 calls: `handle_marker` returns `Send`s, and `handle_verified` the sorted ids
-of the peers to disconnect.
+of the peers to disconnect. A monitor's confirmation list, `VerifiedMsg`,
+holds its few peer ids as an ascending tuple of distinct ids: a fraction of
+a frozenset's size, which counts while every node's first round is in flight.
 """
 from __future__ import annotations
 
@@ -40,7 +42,7 @@ class Marker(NamedTuple):
 
 
 class VerifiedMsg(NamedTuple):
-    verified_peers: frozenset[int]
+    verified_peers: tuple[int, ...]  # distinct peer ids, ascending
 
 
 class Send(NamedTuple):

@@ -13,8 +13,9 @@ the matching timeout event, `round_timeout_ms` later, calls the monitor's
 schedules the next round. Round spacing is measured start to start, with
 the timeout as a floor so rounds for one target never overlap.
 
-`World.pending` holds one live entry per (monitor, live target): the
-`round_start` while no round is open, the `round_timeout` while one is.
+`World.pending` maps each monitor to one `target -> event key` dict, which
+holds one live entry per live target: the `round_start` while no round is
+open, the `round_timeout` while one is.
 
 Monitors learn joins and departures from the registry the moment they
 happen: a join triggers an immediate first scan, a departure triggers
@@ -183,7 +184,7 @@ class World:
         self.policy = AdversaryPolicy(self.topo, rng_adversary, full_hiding=cfg.full_hiding,
                                       share_hops=cfg.share_hops, second_hop_p=cfg.second_hop_p)
         self.ledger = OverheadLedger()
-        self.pending: dict[tuple[int, int], int] = {}  # live round event key
+        self.pending: dict[int, dict[int, int]] = {}  # see the module docstring
         lo, hi = cfg.latency_ms_range  # (lo, n, bits) of `_send`'s inlined randint
         self._latency = (lo, hi - lo + 1, (hi - lo + 1).bit_length())
         self.probes: list[ProbeSample] = []
@@ -202,6 +203,7 @@ class World:
         cfg = self.cfg
         for k in range(cfg.monitors):
             mid = self.topo.add_monitor()
+            self.pending[mid] = {}
             f0 = cfg.monitor_f_init[k] if cfg.monitor_f_init else cfg.f_init
             self.monitors[mid] = Monitor(
                 mid,
@@ -252,10 +254,11 @@ class World:
         if self.observer is not None:
             self.observer(self.engine.now, "leave", nid, None, ev)
         for mid, mon in self.monitors.items():
+            pending = self.pending[mid]
             repair = mon.node_departed(nid)
-            self.engine.cancel(self.pending.pop((mid, nid)))
+            self.engine.cancel(pending.pop(nid))
             for p in repair:
-                self.engine.cancel(self.pending[(mid, p)])
+                self.engine.cancel(pending[p])
                 self._schedule_round(mid, p, 0)
 
     def convert_to_malicious(self, nid: int, single: SingleBehavior | None = None) -> Adversary:
@@ -288,13 +291,11 @@ class World:
     # -- scan scheduling ---------------------------------------------------------
 
     def _schedule_round(self, mid: int, target: int, delay: int) -> None:
-        self.pending[(mid, target)] = self.engine.schedule(
-            delay, "round_start", mid, target
-        )
+        self.pending[mid][target] = self.engine.schedule(delay, "round_start", mid, target)
 
     def _on_round_start(self, mid: int, target: int) -> None:
         marker = self.monitors[mid].start_round(target, self.rng_marker)
-        self.pending[(mid, target)] = self.engine.schedule(
+        self.pending[mid][target] = self.engine.schedule(
             self.cfg.round_timeout_ms, "round_timeout", mid, target
         )
         self._send([(mid, target, marker)], "marker_from_monitor")

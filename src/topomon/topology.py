@@ -12,6 +12,10 @@ reused): `add_node` appends the new id, `remove_node` deletes the departed
 one by bisection, and nothing else changes it. A join draws its targets
 straight from it, and `audit` checks it against the rows.
 
+`banned` holds a row only for a node that has been banned from a peer: a
+ban makes both rows, a departure drops the node's own, and a reader takes
+`banned.get(node, ())`. Most nodes are never banned, so a join makes none.
+
 `clique_version` moves whenever the subgraph among malicious nodes may have
 changed: a link between two malicious nodes opens or closes, a malicious
 node joins or leaves, or `set_role` runs. Honest-only changes and bans leave
@@ -79,7 +83,7 @@ class Topology:
         # a live node's rows are shared with its NodeState: mutate, never rebind
         self.out: dict[int, set[int]] = {}
         self.inb: dict[int, set[int]] = {}
-        self.banned: dict[int, set[int]] = {}
+        self.banned: dict[int, set[int]] = {}  # see the module docstring
         self.monitors: list[int] = []
         self._alive: list[int] = []  # see the module docstring
         self.malicious_count = 0  # live MALICIOUS nodes; `audit` recounts it
@@ -125,7 +129,6 @@ class Topology:
         self.roles[nid] = role
         self.out[nid] = set()
         self.inb[nid] = set()
-        self.banned[nid] = set()
         self.malicious_count += role is Role.MALICIOUS
         self.clique_version += role is Role.MALICIOUS
         for t in targets:
@@ -151,7 +154,7 @@ class Topology:
             raise DuplicateEdge(f"{a}->{b}")
         if a in self.out[b]:
             raise MutualEdge(f"{a}->{b} vs existing {b}->{a}")
-        if b in self.banned[a]:
+        if b in self.banned.get(a, ()):
             raise BannedPeer(f"{a}->{b}")
         self.out[a].add(b)
         self.inb[b].add(a)
@@ -168,17 +171,15 @@ class Topology:
 
     def ban(self, a: int, b: int) -> None:
         """Permanent, symmetric: neither endpoint accepts the other again."""
-        self.banned[a].add(b)
-        self.banned[b].add(a)
+        self.banned.setdefault(a, set()).add(b)
+        self.banned.setdefault(b, set()).add(a)
 
     def eligible_targets(self, source: int) -> list[int]:
+        out, inb, banned = self.out[source], self.inb[source], self.banned.get(source, ())
         return [
             t
             for t in self._alive
-            if t != source
-            and t not in self.out[source]
-            and t not in self.inb[source]
-            and t not in self.banned[source]
+            if t != source and t not in out and t not in inb and t not in banned
         ]
 
     def open_random_edge(self, source: int, rng: random.Random) -> int | None:
@@ -203,7 +204,8 @@ class Topology:
             self.inb[t].discard(node)
         for p in orphans:
             self.out[p].discard(node)
-        del self.roles[node], self.out[node], self.inb[node], self.banned[node]
+        del self.roles[node], self.out[node], self.inb[node]
+        self.banned.pop(node, None)
         del self._alive[bisect_left(self._alive, node)]
         self.malicious_count -= role is Role.MALICIOUS
         self.clique_version += role is Role.MALICIOUS

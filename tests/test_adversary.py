@@ -25,7 +25,7 @@ def join(topo: Topology, nid: int) -> None:
     if nid not in topo.out:
         insort(topo._alive, nid)
     topo.roles.setdefault(nid, Role.HONEST)
-    for rows in (topo.out, topo.inb, topo.banned):
+    for rows in (topo.out, topo.inb):
         rows.setdefault(nid, set())
 
 

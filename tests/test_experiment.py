@@ -1,11 +1,13 @@
 """CSV artifact shapes, seed derivation, and reproducibility."""
 from __future__ import annotations
 
+import gc
 import io
 import multiprocessing
 import os
 import subprocess
 import sys
+import weakref
 
 import pytest
 
@@ -156,6 +158,29 @@ def test_failed_run_keeps_a_readable_exception_and_leaves_no_worker():
         assert worker_traceback.startswith("Traceback (most recent call last):")
         assert "in _run_one" in worker_traceback and "raise ConfigInvalid(" in worker_traceback
     assert multiprocessing.active_children() == []
+
+
+def test_worker_loop_keeps_no_finished_world_alive(monkeypatch):
+    # a pool worker calls `_run_one` again and again; with the cyclic GC off,
+    # only refcounting can free each world before the next one is built
+    built = []
+
+    class Tracked(experiment.World):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(weakref.ref(self))
+
+    monkeypatch.setattr(experiment, "World", Tracked)
+    gc.collect()
+    gc.disable()
+    try:
+        for seed in range(4):
+            report, failure = experiment._run_one(tiny(seed=seed, variability_s=1.0))
+            assert failure is None and report.samples
+            assert len(built) == seed + 1
+            assert [ref for ref in built if ref() is not None] == []
+    finally:
+        gc.enable()
 
 
 def _square(x: int) -> int:

@@ -5,7 +5,7 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from topomon.monitor import (
@@ -191,7 +191,7 @@ def test_close_returns_confirmations_and_delay_to_next_start(adaptive, freq):
     mon.receive_marker(2, m)
     mon.receive_marker(3, m)
     msg, delay = mon.close_round(1, random.Random(1))
-    assert msg.verified_peers == frozenset({2, 3, 4})
+    assert msg.verified_peers == (2, 3, 4)
     assert mon.freq[1] == freq  # two changes take f_init 5 down to 3
     assert delay == 1000 * freq
 
@@ -241,19 +241,41 @@ def test_verified_message_joins_outbound_row_and_inbound_edges():
     mon = monitor()
     confirm(mon, 1, [2])
     confirm(mon, 3, [1])
-    assert mon.build_verified_message(1).verified_peers == frozenset({2, 3})
+    assert mon.build_verified_message(1).verified_peers == (2, 3)
 
 
 def test_verified_message_empty_for_isolated_node():
     mon = monitor()
-    assert mon.build_verified_message(1).verified_peers == frozenset()
+    assert mon.build_verified_message(1).verified_peers == ()
 
 
 def test_verified_message_tracks_row_rewrites():
     mon = monitor()
     run_round(mon, 1, [2])
     run_round(mon, 1, [3])
-    assert mon.build_verified_message(1).verified_peers == frozenset({3})
+    assert mon.build_verified_message(1).verified_peers == (3,)
+
+
+def test_verified_message_lists_a_peer_on_both_sides_once():
+    # only fabricated relays put both directions of a pair into a view
+    mon = monitor()
+    confirm(mon, 1, [2, 4])
+    confirm(mon, 2, [1, 3])
+    assert mon.build_verified_message(1).verified_peers == (2, 4)
+    assert mon.build_verified_message(2).verified_peers == (1, 3)
+
+
+@given(st.lists(st.tuples(st.integers(1, 5), st.frozensets(st.integers(1, 5))), max_size=12))
+@example([(1, frozenset({2})), (2, frozenset({1, 3}))])
+@settings(max_examples=200, deadline=None)
+def test_verified_peers_are_the_sorted_distinct_row_and_column(rounds):
+    mon = monitor()
+    for target, relays in rounds:
+        confirm(mon, target, relays - {target})
+    for t in range(1, 6):
+        out, inb = mon.out.get(t, ()), mon.inb.get(t, ())
+        want = tuple(sorted(set(out) | set(inb)))
+        assert mon.build_verified_message(t).verified_peers == want
 
 
 # -- aggregation ----------------------------------------------------------------

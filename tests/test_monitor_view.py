@@ -37,8 +37,9 @@ class FlatView:
     def expire(self, t: int, collected: frozenset[int]) -> None:
         self.edges = {(a, b) for a, b in self.edges if a != t or b in collected}
 
-    def verified(self, t: int) -> frozenset[int]:
-        return self.row(t) | {a for a, b in self.edges if b == t}
+    def verified(self, t: int) -> tuple[int, ...]:
+        """Each peer on either side of t once, ascending."""
+        return tuple(sorted(self.row(t) | {a for a, b in self.edges if b == t}))
 
 
 def adapted(f: int, c: int) -> int:
@@ -110,8 +111,9 @@ class MonitorViewMachine(RuleBasedStateMachine):
         self.close(data.draw(st.sampled_from(sorted(self.mon.rounds))))
 
     def close(self, t):
-        prior = self.mon.rounds[t].prior_row
-        assert prior == self.priors.pop(t)
+        prior = self.priors.pop(t)
+        row_at_start = self.mon.rounds[t].prior_row
+        assert len(row_at_start) == len(prior) and frozenset(row_at_start) == prior
         collected = frozenset(self.collected.pop(t))
         f, row = self.mon.freq[t], self.mon.outbound_row(t)
         _, delay = self.mon.close_round(t, self.rng)
@@ -128,7 +130,7 @@ class MonitorViewMachine(RuleBasedStateMachine):
         if t not in self.mon.nodes:
             return
         prior = self.model.row(t)
-        c = self.mon.update_topology(t, collected, self.mon.outbound_row(t))
+        c = self.mon.update_topology(t, collected, tuple(self.mon.outbound_row(t)))
         assert self.mon.outbound_row(t) == prior & collected  # never grows
         self.model.expire(t, collected)
         assert c == len(prior ^ collected)

@@ -173,7 +173,7 @@ def test_fresh_connection_resets_safe_period():
 def test_topology_ban_shows_through_and_forget_purges():
     topo = Topology()
     for nid in (1, 7, 8):
-        topo.out[nid], topo.inb[nid], topo.banned[nid] = set(), set(), set()
+        topo.out[nid], topo.inb[nid] = set(), set()  # a banned row comes with the first ban
         topo.set_role(nid, Role.HONEST)
     topo.open_connection(1, 7)
     topo.open_connection(8, 1)
@@ -257,14 +257,19 @@ def reputation_ops(monitors: set[int]):
 def test_reputation_record_matches_per_monitor_rule(monitors, safe, data):
     # sparse ids, handed over unsorted: a monitor's pair sits at its id's rank
     n = NodeState(1, list(monitors), safe, outbound={5, 6}, inbound={7})
+    # the same reports as a monitor sends them: ascending tuples, not sets
+    twin = NodeState(1, list(monitors), safe, outbound={5, 6}, inbound={7})
     ref = PerMonitorRule(monitors, safe)
     for op, arg, verified in data.draw(reputation_ops(monitors)):
         if op == "report":
             got = n.handle_verified(arg, VerifiedMsg(verified))
             assert got == ref.handle_verified(arg, PEERS, verified)
+            assert twin.handle_verified(arg, VerifiedMsg(tuple(sorted(verified)))) == got
         else:
             n.forget(arg)
+            twin.forget(arg)
             ref.forget(arg)
+        assert twin.tallies == n.tallies
         for p in PEERS:
             assert n.check_reputation(p) is ref.must_disconnect(p)
             assert n.reputation(p) == ref.reputation(p)

@@ -651,7 +651,7 @@ class WorldMachine(RuleBasedStateMachine):
         w.engine.run_until(w.engine.now + step)
         # every due entry has fired, so the rest lie strictly ahead; only a
         # join's first scan is scheduled at `now` (see the invariant)
-        due = [w.engine.due(key) for key in w.pending.values()]
+        due = [w.engine.due(key) for keys in w.pending.values() for key in keys.values()]
         assert all(d is not None and d[0] > w.engine.now for d in due)
 
     @rule(target_population=st.integers(1, 8))
@@ -708,6 +708,7 @@ class WorldMachine(RuleBasedStateMachine):
         rescan = RescanRings(topo, w.policy.rng)
         for n in topo.malicious_alive():
             assert w.policy.rings(n) == rescan.rings(n)
+        assert w.pending.keys() == w.monitors.keys()
         for mid, mon in w.monitors.items():
             assert mon.nodes == set(live)
             for rows in (mon.out, mon.inb):
@@ -715,9 +716,9 @@ class WorldMachine(RuleBasedStateMachine):
                 assert all(row <= mon.nodes for row in rows.values())
             pairs = {(a, b) for a, row in mon.out.items() for b in row}
             assert pairs == {(a, b) for b, col in mon.inb.items() for a in col}
-            assert {k for k in w.pending if k[0] == mid} == {(mid, t) for t in live}
+            assert w.pending[mid].keys() == set(live)
             for t in live:
-                due = w.engine.due(w.pending[(mid, t)])
+                due = w.engine.due(w.pending[mid][t])
                 assert due is not None  # neither fired nor cancelled
                 fire_at, kind = due
                 assert fire_at >= self.now  # a join schedules its first scan at delay 0

@@ -65,7 +65,6 @@ def test_mutual_duplicate_and_banned_edges_rejected():
         nid = topo.new_id()
         topo.out[nid] = set()
         topo.inb[nid] = set()
-        topo.banned[nid] = set()
         topo.set_role(nid, Role.HONEST)
     topo.open_connection(0, 1)
     with pytest.raises(DuplicateEdge):
@@ -239,6 +238,19 @@ def test_live_count_steers_like_the_population_rescan(nodes, frac, seed, targets
     assert runs[0] == runs[1]
 
 
+def test_banned_rows_are_made_by_the_first_ban_and_dropped_at_departure():
+    topo = build(12, seed=3)
+    assert topo.banned == {}  # a join makes no row
+    a = topo.peers_alive()[-1]
+    b = topo.eligible_targets(a)[0]
+    topo.ban(a, b)
+    assert topo.banned == {a: {b}, b: {a}}
+    assert b not in topo.eligible_targets(a) and a not in topo.eligible_targets(b)
+    topo.remove_node(a, random.Random(1))
+    assert topo.banned == {b: {a}}  # ids are never reused, so b's row may keep a
+    assert topo.audit() == []
+
+
 class RescanSample(Topology):
     """Joins and rewiring before the live id list: each join samples a fresh
     copy of the live ids read off the rows, and each rewire scans the rows."""
@@ -256,7 +268,7 @@ class RescanSample(Topology):
             if t != source
             and t not in self.out[source]
             and t not in self.inb[source]
-            and t not in self.banned[source]
+            and t not in self.banned.get(source, ())
         ]
 
 
