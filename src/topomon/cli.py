@@ -23,7 +23,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import TextIO
 
-from .experiment import _num, run_experiment, run_sweep, sweep_grid
+from .experiment import _num, _pct_num, run_experiment, run_sweep, sweep_grid
 from .metrics import AuditRow, audit_overhead, precision, recall
 from .monitor import SCHEDULING_MODES
 from .simulation import CONFIG_FIELDS, CONFIG_TYPES, ConfigInvalid, ExperimentConfig, World
@@ -131,7 +131,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     stem = args.name or (
         f"run_var{_num(cfg.variability_s)}"
-        f"_mal{_num(100 * cfg.malicious_pct)}_seed{cfg.seed}"
+        f"_mal{_pct_num(cfg.malicious_pct)}_seed{cfg.seed}"
     )
     csv_path = out / f"{stem}.csv"
     sinks = {}
@@ -194,7 +194,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         for cfg, exc in report.failures:
             print(
                 f"FAILED var={_num(cfg.variability_s)} "
-                f"mal={_num(100 * cfg.malicious_pct)}% seed={cfg.seed}: {exc!r}",
+                f"mal={_pct_num(cfg.malicious_pct)}% seed={cfg.seed}: {exc!r}",
                 file=sys.stderr,
             )
         return 1
@@ -254,9 +254,9 @@ def _cmd_export(args: argparse.Namespace) -> int:
     if args.settle_ms:
         world.engine.run_until(args.settle_ms)
     if args.format == "dot":
-        text = world.topo.to_dot(include_monitors=args.include_monitors)
+        text = world.topo.to_dot(world.monitors, include_monitors=args.include_monitors)
     else:
-        lines = world.topo.edge_list_lines(include_monitors=args.include_monitors)
+        lines = world.topo.edge_list_lines(world.monitors, include_monitors=args.include_monitors)
         text = "\n".join(lines) + "\n"
     if args.dest:
         with _open_out(Path(args.dest)) as f:

@@ -36,6 +36,11 @@ def _num(x: float) -> str:
     return str(int(x)) if math.isfinite(x) and x == int(x) else repr(float(x))
 
 
+def _pct_num(fraction: float) -> str:
+    # 0.07 -> "7": rounded first, since 100 * 0.07 is 7.000000000000001
+    return _num(round(100 * fraction, 9))
+
+
 def _ratio(x: float | None) -> str:
     return "" if x is None else f"{x:.6f}"
 
@@ -56,7 +61,7 @@ class RunReport:
 
 
 def _row(cfg: ExperimentConfig, time_ms: int, c: ConfusionCounts) -> str:
-    cols = (_num(cfg.variability_s), _num(100.0 * cfg.malicious_pct), str(cfg.seed),
+    cols = (_num(cfg.variability_s), _pct_num(cfg.malicious_pct), str(cfg.seed),
             str(time_ms), str(c.tp), str(c.fp), str(c.fn),
             _ratio(precision(c)), _ratio(recall(c)))
     return ",".join(cols)

@@ -29,6 +29,8 @@ outbound slot right away; malicious nodes do not (flag-controlled), which
 slowly strands them on clique-internal links only.
 
 The `Topology` alone stores links and bans; each node reads its own rows.
+Monitors are not its nodes: `_bootstrap` draws their ids from
+`Topology.new_id` before any peer joins, so they hold the lowest ids.
 `World.nodes` maps every live node to its handler, a `NodeState` or an
 `Adversary` wrapping one.
 """
@@ -202,7 +204,7 @@ class World:
     def _bootstrap(self) -> None:
         cfg = self.cfg
         for k in range(cfg.monitors):
-            mid = self.topo.add_monitor()
+            mid = self.topo.new_id()
             self.pending[mid] = {}
             f0 = cfg.monitor_f_init[k] if cfg.monitor_f_init else cfg.f_init
             self.monitors[mid] = Monitor(
@@ -213,7 +215,7 @@ class World:
                 mode=cfg.scheduling_mode,
                 adaptive=cfg.adaptive,
             )
-        # monitors all join first, with rising ids: `self.monitors` iterates in id order
+        # monitor ids come first and rise: `self.monitors` iterates in id order
         self._monitor_slots = monitor_slots(self.monitors)  # one map shared by every NodeState
         for _ in range(cfg.nodes):
             role = self.topo.steer_add_role(cfg.malicious_pct)

@@ -1,11 +1,12 @@
 """Ground-truth overlay graph: roles, directed peer edges, churn, bans.
 
 Edges are directed (opener -> target) and at most one edge exists per
-unordered pair. Monitors are connected to every live non-monitor node; those
-links are implicit here and never appear in peer sets or exports of peer
-edges unless explicitly requested. A live node's role changes only through
-`set_role`, which keeps the live malicious count that churn steers by, so a
-join never scans the population.
+unordered pair. Monitors are not nodes of this graph: they take ids from
+`new_id` and nothing else, so every method refuses one as unknown, and
+`roles`, `out`, `inb` and `_alive` all hold the live peers. The exports take
+the monitor ids, to draw each monitor's link to every live peer on request.
+A live node's role changes only through `set_role`, which keeps the live
+malicious count that churn steers by, so a join never scans the population.
 
 `_alive` lists the live peer ids in ascending order (ids rise and are never
 reused): `add_node` appends the new id, `remove_node` deletes the departed
@@ -27,12 +28,12 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
+from typing import Collection
 
 
 class Role(str, Enum):
     HONEST = "honest"
     MALICIOUS = "malicious"
-    MONITOR = "monitor"
 
 
 _MALICIOUS = Role.MALICIOUS  # for per-link code: enum attribute loads are slow
@@ -84,7 +85,6 @@ class Topology:
         self.out: dict[int, set[int]] = {}
         self.inb: dict[int, set[int]] = {}
         self.banned: dict[int, set[int]] = {}  # see the module docstring
-        self.monitors: list[int] = []
         self._alive: list[int] = []  # see the module docstring
         self.malicious_count = 0  # live MALICIOUS nodes; `audit` recounts it
         self.clique_version = 0  # see the module docstring
@@ -111,17 +111,9 @@ class Topology:
 
     # -- construction ------------------------------------------------------
 
-    def add_monitor(self) -> int:
-        nid = self.new_id()
-        self.roles[nid] = Role.MONITOR
-        self.monitors.append(nid)
-        return nid
-
     def add_node(self, role: Role, rng: random.Random) -> NodeAdded:
         """Join a node and open uniformly random edges to
         min(target_outbound, live peers) of the live peers."""
-        if role is Role.MONITOR:
-            raise ValueError("monitors join via add_monitor")
         alive = self._alive
         targets = tuple(sorted(rng.sample(alive, min(self.target_outbound, len(alive)))))
         nid = self.new_id()
@@ -139,8 +131,6 @@ class Topology:
         """The only way to change a live node's role after it joins."""
         if nid not in self.out:
             raise UnknownNode(str(nid))
-        if role is Role.MONITOR:
-            raise ValueError("monitors join via add_monitor")
         self.malicious_count += (role is Role.MALICIOUS) - (self.roles.get(nid) is Role.MALICIOUS)
         self.clique_version += 1
         self.roles[nid] = role
@@ -195,7 +185,7 @@ class Topology:
     def remove_node(self, node: int, rng: random.Random) -> NodeRemoved:
         """Depart a node; every orphaned inbound peer opens one replacement
         edge so it keeps target_outbound outbound connections."""
-        if node not in self.roles or self.roles[node] is Role.MONITOR:
+        if node not in self.roles:
             raise UnknownNode(str(node))
         role = self.roles[node]
         orphans = sorted(self.inb[node])
@@ -256,8 +246,6 @@ class Topology:
                     bad.append(f"self edge {a}")
                 if a in self.out[b]:
                     bad.append(f"mutual pair {a}<->{b}")
-                if self.roles[b] is Role.MONITOR:
-                    bad.append(f"edge targets monitor {a}->{b}")
                 if a not in self.inb[b]:
                     bad.append(f"missing inbound mirror {a}->{b}")
         for b, row in self.inb.items():
@@ -275,24 +263,25 @@ class Topology:
             bad.append(f"malicious count {self.malicious_count}, recount {mal}")
         return bad
 
-    def links(self, *, include_monitors: bool = False) -> list[tuple[int, int]]:
+    def links(self, monitors: Collection[int], *, include_monitors: bool = False
+              ) -> list[tuple[int, int]]:
         """The peer edges, sorted, after each monitor's link to every live peer
         when `include_monitors` is set: what both export formats write."""
         links = sorted(self.peer_edges())
         if include_monitors:
-            links = [(m, n) for m in self.monitors for n in self._alive] + links
+            links = [(m, n) for m in monitors for n in self._alive] + links
         return links
 
-    def edge_list_lines(self, *, include_monitors: bool = False) -> list[str]:
-        return [f"{a} {b}" for a, b in self.links(include_monitors=include_monitors)]
+    def edge_list_lines(self, monitors: Collection[int], *, include_monitors: bool = False
+                        ) -> list[str]:
+        return [f"{a} {b}" for a, b in self.links(monitors, include_monitors=include_monitors)]
 
-    def to_dot(self, *, include_monitors: bool = False) -> str:
+    def to_dot(self, monitors: Collection[int], *, include_monitors: bool = False) -> str:
+        shapes = dict.fromkeys(monitors, "diamond")
+        shapes.update((n, "box" if r is _MALICIOUS else "ellipse") for n, r in self.roles.items())
         out = ["digraph overlay {"]
-        for n in sorted(self.roles):
-            role = self.roles[n]
-            shape = {"honest": "ellipse", "malicious": "box", "monitor": "diamond"}[role.value]
-            out.append(f'  n{n} [label="{n}" shape={shape}];')
-        for a, b in self.links(include_monitors=include_monitors):
+        out += [f'  n{n} [label="{n}" shape={shapes[n]}];' for n in sorted(shapes)]
+        for a, b in self.links(monitors, include_monitors=include_monitors):
             out.append(f"  n{a} -> n{b};")
         out.append("}")
         return "\n".join(out) + "\n"

@@ -154,7 +154,7 @@ RING_OPS = ("join", "leave", "tick", "open", "close", "ban", "set_role")
 def test_cached_rings_equal_the_rescan_after_every_change(seed, nodes, frac, ops):
     topo = Topology(target_outbound=2)
     rng = random.Random(seed)
-    topo.add_monitor()
+    topo.new_id()  # a monitor's id
     pol, ref = AdversaryPolicy(topo, random.Random(0)), RescanRings(topo, random.Random(0))
     for _ in range(nodes):
         topo.add_node(topo.steer_add_role(frac), rng)

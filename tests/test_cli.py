@@ -1,6 +1,7 @@
 """Command-line behavior: artifacts on disk, override precedence, exit codes."""
 from __future__ import annotations
 
+import hashlib
 import multiprocessing
 
 import pytest
@@ -124,6 +125,20 @@ def test_sweep_writes_raw_and_summary(tmp_path, capsys):
     assert "raw ->" in capsys.readouterr().out
 
 
+def test_whole_number_percent_is_written_whole(tmp_path):
+    # 100 * 0.07 is 7.000000000000001 and 100 * 0.29 is 28.999999999999996
+    assert main(RUN_ARGS + ["--malicious", "7", "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "run_var0_mal7_seed3.csv").read_text().splitlines()[1:]
+    assert rows and {row.split(",")[1] for row in rows} == {"7"}
+    rc = main(["sweep", "--nodes", "10", "--monitors", "2", "--duration-ms", "4000",
+               "--probe-every-ms", "4000", "--vars", "0", "--pcts", "7,29", "--repeats", "1",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    raw = (tmp_path / "sweep_raw.csv").read_text().splitlines()[1:]
+    summary = (tmp_path / "sweep_summary.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[1] for r in raw] == [s.split(",")[1] for s in summary] == ["7", "29"]
+
+
 @pytest.mark.parametrize(
     "flag, value, problem",
     [
@@ -222,6 +237,32 @@ def test_export_includes_monitor_links_in_both_formats(capsys):
     assert main(export + ["--format", "dot"]) == 0
     arrows = [ln for ln in capsys.readouterr().out.splitlines() if "->" in ln]
     assert arrows == [f"  n{a} -> n{b};" for a, b in (ln.split() for ln in lines)]
+
+
+EXPORT_SHA256 = {
+    ("edgelist", False): "33b9332d6374d8e5df4d5ee361b2e8ac3a51b75883d2249d08ad6df1a040705f",
+    ("edgelist", True): "d0fcfcf83e51364bb8c92083e66280f9fba4c6ff6e213e51d149820038a481b2",
+    ("dot", False): "60f858c24226e9d862bc9a3bff2a7b524d447dc11d9acd362455c4a3e7222e09",
+    ("dot", True): "1572817acb75bb200d623e6ed2ecd59f58f9f6a76e6b3f743cca061558d7d069",
+}
+
+
+@pytest.mark.parametrize("fmt, include", sorted(EXPORT_SHA256), ids=lambda v: str(v))
+def test_export_bytes_of_a_settled_world_are_pinned(tmp_path, fmt, include):
+    # 20 s of 1 s churn with 30% colluders: the DOT holds every node shape,
+    # and the monitors' diamonds are written with or without their links
+    conf = tmp_path / "churn.conf"
+    conf.write_text("variability_s = 1\nmalicious_pct = 0.3\n")
+    dest = tmp_path / "overlay"
+    rc = main(["export-topology", "--nodes", "30", "--monitors", "3", "--settle-ms", "20000",
+               "--config", str(conf), "--format", fmt, "--dest", str(dest)]
+              + ["--include-monitors"] * include)
+    assert rc == 0
+    data = dest.read_bytes()
+    if fmt == "dot":
+        assert data.count(b"shape=diamond") == 3
+        assert b"shape=box" in data and b"shape=ellipse" in data
+    assert hashlib.sha256(data).hexdigest() == EXPORT_SHA256[fmt, include]
 
 
 def test_negative_settle_time_exits_2(capsys, monkeypatch):

@@ -25,7 +25,7 @@ def build(n: int, seed: int = 0, monitors: int = 1, frac: float = 0.0) -> Topolo
     topo = Topology()
     rng = random.Random(seed)
     for _ in range(monitors):
-        topo.add_monitor()
+        topo.new_id()  # a monitor's id: taken, but never a node
     for _ in range(n):
         topo.add_node(topo.steer_add_role(frac), rng)
     return topo
@@ -107,7 +107,7 @@ def test_remove_rewires_each_orphan_once():
 def test_monitor_cannot_be_removed():
     topo = build(5)
     with pytest.raises(UnknownNode):
-        topo.remove_node(topo.monitors[0], random.Random(0))
+        topo.remove_node(0, random.Random(0))  # build's monitor id
 
 
 def test_ids_never_reused():
@@ -169,11 +169,12 @@ def test_degree_restored_after_churn_settles():
 
 def test_export_formats():
     topo = build(5, seed=2)
-    lines = topo.edge_list_lines()
+    lines = topo.edge_list_lines([0])
     assert all(len(line.split()) == 2 for line in lines)
     assert lines == sorted(lines, key=lambda s: tuple(map(int, s.split())))
-    dot = topo.to_dot()
+    dot = topo.to_dot([0])
     assert dot.startswith("digraph overlay {")
+    assert '  n0 [label="0" shape=diamond];' in dot and "n0 ->" not in dot
     assert dot.rstrip().endswith("}")
     for a, b in topo.peer_edges():
         assert f"n{a} -> n{b};" in dot
@@ -182,22 +183,37 @@ def test_export_formats():
 def test_set_role_refuses_monitors_and_unknown_ids():
     topo = build(3)
     with pytest.raises(UnknownNode):
-        topo.set_role(topo.monitors[0], Role.HONEST)
+        topo.set_role(0, Role.HONEST)  # build's monitor id
     with pytest.raises(UnknownNode):
         topo.set_role(99, Role.MALICIOUS)
-    with pytest.raises(ValueError):
-        topo.set_role(topo.peers_alive()[0], Role.MONITOR)
 
 
-def test_audit_flags_a_role_written_around_set_role():
-    topo = build(5, seed=1, frac=0.2)
+@pytest.mark.parametrize(
+    "corrupt, want",
+    [
+        (lambda t, a, b, c: t.out[a].add(0), ["dangling edge {a}->0"]),  # 0: a monitor's id
+        (lambda t, a, b, c: (t.out[a].add(a), t.inb[a].add(a)),
+         ["self edge {a}", "mutual pair {a}<->{a}"]),
+        (lambda t, a, b, c: (t.out[b].add(a), t.inb[a].add(b)),
+         ["mutual pair {a}<->{b}", "mutual pair {b}<->{a}"]),
+        (lambda t, a, b, c: t.inb[b].discard(a), ["missing inbound mirror {a}->{b}"]),
+        (lambda t, a, b, c: t.inb[c].add(a), ["stale inbound mirror {a}->{c}"]),
+        (lambda t, a, b, c: t.banned.update({a: {b}, b: {a}}),
+         ["banned pair still connected {a}~{b}", "banned pair still connected {b}~{a}"]),
+        (lambda t, a, b, c: t._alive.pop(), ["live id list differs from the ascending live ids"]),
+        (lambda t, a, b, c: t.roles.update({c: Role.MALICIOUS}), ["malicious count 1, recount 2"]),
+    ],
+    ids=["dangling", "self-edge", "mutual-pair", "missing-mirror", "stale-mirror",
+         "banned-connected", "live-list", "role"],
+)
+def test_audit_flags_each_rule_broken_around_the_api(corrupt, want):
+    # a -> b is a live edge, and c an honest peer that a may still link to
+    topo = build(8, seed=1, frac=0.1)
+    a, b = max(topo.peer_edges())
+    c = next(n for n in topo.eligible_targets(a) if topo.roles[n] is Role.HONEST)
     assert topo.malicious_count == 1 and topo.audit() == []
-    nid = next(n for n in topo.peers_alive() if topo.roles[n] is Role.HONEST)
-    topo.roles[nid] = Role.MALICIOUS
-    assert topo.audit() == ["malicious count 1, recount 2"]
-    topo.roles[nid] = Role.HONEST
-    topo.set_role(nid, Role.MALICIOUS)
-    assert topo.malicious_count == 2 and topo.audit() == []
+    corrupt(topo, a, b, c)
+    assert sorted(topo.audit()) == sorted(m.format(a=a, b=b, c=c) for m in want)
 
 
 class RescanSteering(Topology):
@@ -229,7 +245,7 @@ def test_live_count_steers_like_the_population_rescan(nodes, frac, seed, targets
     runs = []
     for topo in (Topology(), RescanSteering()):
         rng = random.Random(seed)
-        topo.add_monitor()
+        topo.new_id()  # a monitor's id
         for _ in range(nodes):
             topo.add_node(topo.steer_add_role(frac), rng)
         # each NodeRemoved carries the departed id, each NodeAdded the role
@@ -284,7 +300,7 @@ def test_live_list_draws_like_a_fresh_copy_of_the_rows(nodes, seed, ops):
     runs, topos = [], (Topology(), RescanSample())
     for topo in topos:
         rng = random.Random(seed)
-        topo.add_monitor()
+        topo.new_id()  # a monitor's id
         events = [topo.add_node(topo.steer_add_role(0.3), rng) for _ in range(nodes)]
         for op in ops:
             if op in ("honest", "malicious"):
@@ -320,11 +336,11 @@ def test_live_lists_equal_their_sorted_definitions(seed, ops):
         elif op == "tick":
             topo.churn_tick(8, 0.3, rng)
         elif op == "monitor":
-            topo.add_monitor()
+            topo.new_id()
         elif op == "set_role" and topo.population() > 0:
             nid = rng.choice(sorted(topo.out))
             topo.set_role(nid, rng.choice([Role.HONEST, Role.MALICIOUS]))
-        peers = sorted(n for n, r in topo.roles.items() if r is not Role.MONITOR)
+        peers = sorted(topo.roles)
         bad = sorted(n for n, r in topo.roles.items() if r is Role.MALICIOUS)
         assert topo.peers_alive() == peers
         assert topo.malicious_alive() == bad
