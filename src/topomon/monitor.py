@@ -7,19 +7,21 @@ scan frequency breathes with observed change: idle rows slow down,
 churning rows speed up.
 
 The round lifecycle lives here: `start_round` opens a round, keeping the
-target's row as it stood then as a tuple; `close_round` expires the row's
+target's row object as it stood then; `close_round` expires the row's
 unconfirmed peers, adapts the frequency and returns the confirmation list,
 the target's outbound and inbound peers as one ascending tuple, with the
 delay from this round's start to the next; this layer never reads the
-clock. Every node's first round is open at once, so a round and its list
-are kept as tuples, the smallest container for a handful of ids.
+clock. Every node's first round is open at once, so a round keeps only
+that row, a list its relays' senders are appended to, and its nonce.
 
-The view is kept as per-node rows: `out[a]` holds the peers a's outbound
-row points at and `inb[b]` the nodes whose rows point at b, always the
-mirror of each other. Every round touches only its target's row and the
-rows of that target's neighbours, so a round costs O(degree) whatever the
-population; the aggregate snapshot is the only pass over every edge, and
-`edges` derives the flat (a, b) pairs on demand.
+The view is kept as per-node rows of distinct ids, each an immutable tuple,
+the smallest container for a handful of ids: `out[a]` holds the peers a's
+outbound row points at and `inb[b]` the nodes whose rows point at b, always
+the mirror of each other. A change stores a new tuple, so a round's snapshot
+is the row itself and a relay re-confirming a known edge writes nothing.
+Every round touches only its target's row and its neighbours' rows, so a
+round costs O(degree) whatever the population; the aggregate snapshot is
+the only pass over every edge, and `edges` derives the (a, b) pairs.
 
 An edge has one way in and two ways out, which sets how fresh the view
 stays under churn: `receive_marker` inserts a confirmed link the moment
@@ -30,7 +32,6 @@ immediate re-scans of every node whose row pointed at the departed peer.
 from __future__ import annotations
 
 import random
-from collections import defaultdict
 from collections.abc import Iterable, KeysView
 from dataclasses import dataclass
 
@@ -55,8 +56,8 @@ class EmptyInput(Exception):
 @dataclass(slots=True)
 class Round:
     value: int
-    prior_row: tuple[int, ...]  # outbound row at round start
-    collected: set[int]
+    prior_row: tuple[int, ...]  # the outbound row at round start: rows are never edited
+    collected: list[int]  # each accepted relay's sender, repeats and all
     rescan: bool = False  # a departure asked for a repair scan while the round was open
 
 
@@ -81,8 +82,8 @@ class Monitor:
         self.f_max = f_max
         self.mode = mode
         self.adaptive = adaptive
-        self.out: defaultdict[int, set[int]] = defaultdict(set)
-        self.inb: defaultdict[int, set[int]] = defaultdict(set)
+        self.out: dict[int, tuple[int, ...]] = {}
+        self.inb: dict[int, tuple[int, ...]] = {}
         self.freq: dict[int, int] = {}  # its keys are the monitored nodes
         self.rounds: dict[int, Round] = {}
 
@@ -104,14 +105,14 @@ class Monitor:
         self.rounds.pop(n, None)
         scan_now = []
         for a in sorted(self.inb.pop(n, ())):
-            self.out[a].discard(n)
+            self.out[a] = _without(self.out[a], n)
             rnd = self.rounds.get(a)
             if rnd is None:
                 scan_now.append(a)
             else:
                 rnd.rescan = True
         for b in self.out.pop(n, ()):
-            self.inb[b].discard(n)
+            self.inb[b] = _without(self.inb[b], n)
         return scan_now
 
     @property
@@ -128,7 +129,7 @@ class Monitor:
         if target in self.rounds:
             raise RoundAlreadyOpen(f"monitor {self.id} target {target}")
         value = rng.getrandbits(64)
-        self.rounds[target] = Round(value, tuple(self.out.get(target, ())), set())
+        self.rounds[target] = Round(value, self.out.get(target, ()), [])
         return new(Marker, (target, self.id, value))
 
     def receive_marker(self, sender: int, m: Marker) -> bool:
@@ -144,9 +145,11 @@ class Monitor:
             return False
         if sender == target or sender == self.id or sender not in self.freq:
             return False
-        rnd.collected.add(sender)
-        self.out[target].add(sender)  # the one insertion: visible at once
-        self.inb[sender].add(target)
+        rnd.collected.append(sender)
+        row = self.out.get(target, ())
+        if sender not in row:  # the one insertion, visible at once
+            self.out[target] = row + (sender,)
+            self.inb[sender] = self.inb.get(sender, ()) + (target,)
         return True
 
     def close_round(self, target: int, rng: random.Random) -> tuple[VerifiedMsg, int]:
@@ -157,7 +160,7 @@ class Monitor:
         rnd = self.rounds.pop(target, None)
         if rnd is None:
             raise NoOpenRound(f"monitor {self.id} target {target}")
-        c = self.update_topology(target, rnd.collected, rnd.prior_row)
+        c = self.update_topology(target, set(rnd.collected), rnd.prior_row)
         if self.adaptive:
             self.adjust_frequency(target, c)
         msg = self.build_verified_message(target)
@@ -172,10 +175,12 @@ class Monitor:
         with its mirror entry, and return how many edges changed against
         `prior`, the pre-round row. Nothing is inserted here: each confirmed
         peer entered the row when `receive_marker` accepted its relay."""
-        row = self.out[target]
-        for b in row - collected:
-            row.discard(b)
-            self.inb[b].discard(target)
+        row = self.out.get(target, ())
+        if not collected.issuperset(row):
+            for b in row:
+                if b not in collected:
+                    self.inb[b] = _without(self.inb[b], target)
+            self.out[target] = tuple(filter(collected.__contains__, row))
         return len(collected.symmetric_difference(prior))
 
     def adjust_frequency(self, target: int, c: int) -> None:
@@ -197,6 +202,11 @@ class Monitor:
             return 1000 * f
         k = sample_poisson(rng, float(f))
         return 1000 * min(self.f_max, max(self.f_min, k))
+
+
+def _without(row: tuple[int, ...], peer: int) -> tuple[int, ...]:
+    i = row.index(peer)
+    return row[:i] + row[i + 1:]
 
 
 # -- aggregation across monitors ---------------------------------------------

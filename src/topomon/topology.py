@@ -13,9 +13,11 @@ reused): `add_node` appends the new id, `remove_node` deletes the departed
 one by bisection, and nothing else changes it. A join draws its targets
 straight from it, and `audit` checks it against the rows.
 
-`banned` holds a row only for a node that has been banned from a peer: a
-ban makes both rows, a departure drops the node's own, and a reader takes
-`banned.get(node, ())`. Most nodes are never banned, so a join makes none.
+`banned` holds a row only for a node that has been banned from a live
+peer: a ban makes both rows, and a departure drops the node's own row and
+its id from each partner's, deleting a row it empties, so a long run keeps
+no ban on a departed peer. A reader takes `banned.get(node, ())`. Most
+nodes are never banned, so a join makes none.
 
 `clique_version` moves whenever the subgraph among malicious nodes may have
 changed: a link between two malicious nodes opens or closes, a malicious
@@ -195,7 +197,11 @@ class Topology:
         for p in orphans:
             self.out[p].discard(node)
         del self.roles[node], self.out[node], self.inb[node]
-        self.banned.pop(node, None)
+        for p in self.banned.pop(node, ()):  # bans are symmetric
+            row = self.banned[p]
+            row.discard(node)
+            if not row:
+                del self.banned[p]
         del self._alive[bisect_left(self._alive, node)]
         self.malicious_count -= role is Role.MALICIOUS
         self.clique_version += role is Role.MALICIOUS
@@ -254,7 +260,9 @@ class Topology:
                     bad.append(f"stale inbound mirror {a}->{b}")
         for a, row in self.banned.items():
             for b in row:
-                if b in self.out[a] or b in self.inb[a]:
+                if b not in self.out:
+                    bad.append(f"ban row {a} names {b}, not a live peer")
+                elif b in self.out[a] or b in self.inb[a]:
                     bad.append(f"banned pair still connected {a}~{b}")
         if self._alive != sorted(self.out):
             bad.append("live id list differs from the ascending live ids")

@@ -105,6 +105,27 @@ def test_duplicate_relay_is_idempotent():
     assert mon.outbound_row(1) == frozenset({2})
 
 
+def test_one_senders_two_relays_in_a_round_count_once():
+    # two colluders can fabricate the same ring member's relay in one round
+    mon = monitor()
+    m = mon.start_round(1, random.Random(1))
+    assert mon.receive_marker(2, m) and mon.receive_marker(2, m)
+    assert mon.out[1] == (2,) and mon.inb[2] == (1,)
+    with mock.patch.object(mon, "adjust_frequency") as adjust:
+        mon.close_round(1, random.Random(1))
+    adjust.assert_called_once_with(1, 1)  # one arrival, not two
+
+
+def test_relay_reconfirming_a_known_edge_writes_nothing():
+    mon = monitor()
+    confirm(mon, 1, [2, 3])
+    row, mirror = mon.out[1], mon.inb[2]
+    m = mon.start_round(1, random.Random(1))
+    assert mon.rounds[1].prior_row is row  # the row itself, not a copy
+    assert mon.receive_marker(2, m)
+    assert mon.out[1] is row and mon.inb[2] is mirror
+
+
 # -- view insertion and expiry ------------------------------------------------
 
 
@@ -132,7 +153,7 @@ def test_round_close_only_expires():
     confirm(mon, 1, [2, 3])
     assert mon.update_topology(1, {2, 4}, mon.outbound_row(1)) == 2
     assert mon.edges == {(1, 2)}  # 3 expired; no relay confirmed 4
-    assert {b: col for b, col in mon.inb.items() if col} == {2: {1}}  # mirror expired too
+    assert {b: set(col) for b, col in mon.inb.items() if col} == {2: {1}}  # mirror expired too
 
 
 def test_update_drops_vanished_nodes_from_row():
@@ -140,7 +161,7 @@ def test_update_drops_vanished_nodes_from_row():
     m = mon.start_round(1, random.Random(1))
     mon.receive_marker(2, m)
     mon.node_departed(2)
-    assert mon.rounds[1].collected == {2}
+    assert set(mon.rounds[1].collected) == {2}
     mon.close_round(1, random.Random(1))
     assert mon.outbound_row(1) == frozenset()
 

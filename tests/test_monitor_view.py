@@ -143,6 +143,12 @@ class MonitorViewMachine(RuleBasedStateMachine):
         }
 
     @invariant()
+    def rows_hold_distinct_ids(self):
+        for rows in (self.mon.out, self.mon.inb):
+            for row in rows.values():
+                assert len(set(row)) == len(row)
+
+    @invariant()
     def edges_match_model(self):
         assert self.mon.edges == self.model.edges
         assert self.mon.nodes == self.model.nodes

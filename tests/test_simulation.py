@@ -351,6 +351,18 @@ def test_node_states_mirror_topology_under_churn():
     assert adversaries == set(w.topo.malicious_alive())
 
 
+def test_a_long_churning_world_keeps_no_ban_on_a_departed_node():
+    cfg = ExperimentConfig(nodes=20, variability_s=0.5, malicious_pct=0.4,
+                           duration_ms=300_000, probe_every_ms=300_000, seed=1)
+    w = World(cfg)
+    w.run()
+    assert w.topo.banned  # reputation evictions banned some live pairs
+    live = set(w.topo.peers_alive())
+    assert w.topo.banned.keys() <= live
+    assert all(row and row <= live for row in w.topo.banned.values())
+    assert w.topo.audit() == []
+
+
 def test_every_node_shares_the_worlds_one_monitor_map():
     cfg = ExperimentConfig(nodes=20, monitors=3, variability_s=0.5, malicious_pct=0.3,
                            duration_ms=10_000, probe_every_ms=10_000, seed=5)
@@ -713,7 +725,7 @@ class WorldMachine(RuleBasedStateMachine):
             assert mon.nodes == set(live)
             for rows in (mon.out, mon.inb):
                 assert rows.keys() <= mon.nodes
-                assert all(row <= mon.nodes for row in rows.values())
+                assert all(set(row) <= mon.nodes for row in rows.values())
             pairs = {(a, b) for a, row in mon.out.items() for b in row}
             assert pairs == {(a, b) for b, col in mon.inb.items() for a in col}
             assert w.pending[mid].keys() == set(live)

@@ -200,11 +200,12 @@ def test_set_role_refuses_monitors_and_unknown_ids():
         (lambda t, a, b, c: t.inb[c].add(a), ["stale inbound mirror {a}->{c}"]),
         (lambda t, a, b, c: t.banned.update({a: {b}, b: {a}}),
          ["banned pair still connected {a}~{b}", "banned pair still connected {b}~{a}"]),
+        (lambda t, a, b, c: t.banned.update({c: {99}}), ["ban row {c} names 99, not a live peer"]),
         (lambda t, a, b, c: t._alive.pop(), ["live id list differs from the ascending live ids"]),
         (lambda t, a, b, c: t.roles.update({c: Role.MALICIOUS}), ["malicious count 1, recount 2"]),
     ],
     ids=["dangling", "self-edge", "mutual-pair", "missing-mirror", "stale-mirror",
-         "banned-connected", "live-list", "role"],
+         "banned-connected", "ban-on-departed", "live-list", "role"],
 )
 def test_audit_flags_each_rule_broken_around_the_api(corrupt, want):
     # a -> b is a live edge, and c an honest peer that a may still link to
@@ -263,7 +264,7 @@ def test_banned_rows_are_made_by_the_first_ban_and_dropped_at_departure():
     assert topo.banned == {a: {b}, b: {a}}
     assert b not in topo.eligible_targets(a) and a not in topo.eligible_targets(b)
     topo.remove_node(a, random.Random(1))
-    assert topo.banned == {b: {a}}  # ids are never reused, so b's row may keep a
+    assert topo.banned == {}  # b's row named only a, so it went with a
     assert topo.audit() == []
 
 
