@@ -64,13 +64,11 @@ class AdversaryPolicy:
         rng: random.Random,
         *,
         full_hiding: bool = True,
-        share_hops: int = 2,
         second_hop_p: float = 1.0,
     ) -> None:
         self.topo = topo
         self.rng = rng
         self.full_hiding = full_hiding
-        self.share_hops = share_hops
         self.second_hop_p = second_hop_p
         self._rings: dict[int, tuple[list[int], list[int]]] = {}
         self._rings_at = -1  # the clique_version `_rings` was filled at
@@ -142,7 +140,7 @@ class Adversary:
             return []  # clique-internal link stays hidden
         # hide the honest link, leak the nonce through the clique
         ring, second = pol.rings(st.id)
-        if pol.share_hops >= 2 and second:
+        if second:
             rand, p = pol.rng.random, pol.second_hop_p
             ring = sorted(ring + [c for c in second if rand() < p])
         return self._fakes_for(ring, m)

@@ -54,7 +54,6 @@ _FLAGS = (
     ("--safe-rounds", "safe_rounds", {}),
     ("--mode", "scheduling_mode", {"choices": SCHEDULING_MODES}),
     ("--latency", "latency_ms_range", {"help": "LO,HI delivery delay bounds in ms"}),
-    ("--share-hops", "share_hops", {"choices": (1, 2)}),
     ("--second-hop-p", "second_hop_p", {}),
     ("--soft-hiding", "full_hiding", {"action": "store_const", "const": False,
                                       "help": "colluders still forward probes to honest peers"}),

@@ -6,10 +6,10 @@ None when their denominator is empty rather than silently zero.
 
 The message ledger books every protocol send and receive per node, split
 by kind: it keeps one node -> count dict per kind and direction, so booking
-a message builds no key. A node's per-sweep protocol load excludes the
-probe the monitor sends it (that one is booked to the monitor's budget),
-which makes the closed-form count (out_deg + 2*in_deg + 1) * monitors hold
-exactly.
+a message builds no key, and `forget` drops a departed node's counters. A
+node's per-sweep protocol load excludes the probe the monitor sends it (that
+one is booked to the monitor's budget), which makes the closed-form count
+(out_deg + 2*in_deg + 1) * monitors hold exactly.
 """
 from __future__ import annotations
 
@@ -69,6 +69,11 @@ class OverheadLedger:
             raise ValueError(f"unknown message kind {kind!r}") from None
         sent[frm] = sent.get(frm, 0) + 1
         recv[to] = recv.get(to, 0) + 1
+
+    def forget(self, node: int) -> None:
+        """Drop a departed node's counters, so the ledger holds live ids only."""
+        for row in (*self.sent.values(), *self.recv.values()):
+            row.pop(node, None)
 
     def sent_of(self, node: int, kind: str) -> int:
         return self.sent[kind].get(node, 0)

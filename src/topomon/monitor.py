@@ -26,8 +26,9 @@ the only pass over every edge, and `edges` derives the (a, b) pairs.
 An edge has one way in and two ways out, which sets how fresh the view
 stays under churn: `receive_marker` inserts a confirmed link the moment
 its relay arrives; the link leaves when a round on its row closes without
-confirming it, or when either end departs, and a departure also triggers
-immediate re-scans of every node whose row pointed at the departed peer.
+confirming it, or when either end departs. A departure returns the rows
+that pointed at the departed peer, and the caller asks `request_scan` to
+rescan each, as for a join's first scan: now, or at its open round's close.
 """
 from __future__ import annotations
 
@@ -58,7 +59,7 @@ class Round:
     value: int
     prior_row: tuple[int, ...]  # the outbound row at round start: rows are never edited
     collected: list[int]  # each accepted relay's sender, repeats and all
-    rescan: bool = False  # a departure asked for a repair scan while the round was open
+    rescan: bool = False  # a scan was requested while the round was open
 
 
 class Monitor:
@@ -97,23 +98,24 @@ class Monitor:
         self.freq[n] = self.f_init
 
     def node_departed(self, n: int) -> list[int]:
-        """Forget the node. Returns, sorted, the nodes whose row held an edge
-        to it and have no open round, to scan right away: the departed peer's
-        replacement edges are already live in the ground truth. An open round
-        on such a row is flagged, so `close_round` asks for the repair scan."""
+        """Forget the node. Returns, sorted, the nodes whose row held an edge to
+        it: their replacement edges are already live, so each wants a repair scan."""
         self.freq.pop(n, None)
         self.rounds.pop(n, None)
-        scan_now = []
-        for a in sorted(self.inb.pop(n, ())):
+        affected = sorted(self.inb.pop(n, ()))
+        for a in affected:
             self.out[a] = _without(self.out[a], n)
-            rnd = self.rounds.get(a)
-            if rnd is None:
-                scan_now.append(a)
-            else:
-                rnd.rescan = True
         for b in self.out.pop(n, ()):
             self.inb[b] = _without(self.inb[b], n)
-        return scan_now
+        return affected
+
+    def request_scan(self, n: int) -> bool:
+        """Ask for a scan of `n` as soon as possible. True: no round is open, so
+        the caller starts one now; False: `close_round` asks for one at once."""
+        rnd = self.rounds.get(n)
+        if rnd is not None:
+            rnd.rescan = True
+        return rnd is None
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
@@ -156,7 +158,7 @@ class Monitor:
         """Expire the peers the round did not confirm, adapt the target's
         scan frequency, and return its confirmation list with the delay in
         ms from this round's start to the next: 0, drawing nothing from
-        `rng`, when a departure flagged the row for repair."""
+        `rng`, when `request_scan` flagged the round."""
         rnd = self.rounds.pop(target, None)
         if rnd is None:
             raise NoOpenRound(f"monitor {self.id} target {target}")

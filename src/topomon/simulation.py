@@ -18,10 +18,9 @@ holds one live entry per live target: the `round_start` while no round is
 open, the `round_timeout` while one is.
 
 Monitors learn joins and departures from the registry the moment they
-happen: a join triggers an immediate first scan, a departure triggers
-repair scans of every node whose row pointed at the departed peer (their
-replacement edges are already live); the monitor defers one whose round
-is open to that round's close.
+happen. A join's first scan, and a departure's repair scan of each node whose
+row pointed at the departed peer (their replacement edges are already live),
+go through `_scan_soon`: now, or at once when the node's open round closes.
 
 Reputation disconnects close the ground-truth edge in the same event and
 ban both endpoints for the rest of the run. Honest nodes refill the lost
@@ -76,7 +75,6 @@ class ExperimentConfig:
     latency_ms_range: tuple[int, int] = (5, 50)
     # adversary shape
     full_hiding: bool = True
-    share_hops: int = 2
     second_hop_p: float = 1.0
     malicious_refill: bool = False
     # analysis aids
@@ -113,8 +111,6 @@ class ExperimentConfig:
                 bad.append("monitor_f_init must list one frequency per monitor")
             if not all(self.f_min <= f <= self.f_max for f in self.monitor_f_init):
                 bad.append("monitor_f_init entries must lie in [f_min, f_max]")
-        if not 1 <= self.share_hops <= 2:
-            bad.append("share_hops must be 1 or 2")
         return bad
 
 
@@ -184,7 +180,7 @@ class World:
         self.nodes: dict[int, NodeState | Adversary] = {}
         self.monitors: dict[int, Monitor] = {}
         self.policy = AdversaryPolicy(self.topo, rng_adversary, full_hiding=cfg.full_hiding,
-                                      share_hops=cfg.share_hops, second_hop_p=cfg.second_hop_p)
+                                      second_hop_p=cfg.second_hop_p)
         self.ledger = OverheadLedger()
         self.pending: dict[int, dict[int, int]] = {}  # see the module docstring
         lo, hi = cfg.latency_ms_range  # (lo, n, bits) of `_send`'s inlined randint
@@ -240,11 +236,10 @@ class World:
             inbound=topo.inb[nid],
         )
         self.nodes[nid] = state if ev.role is Role.HONEST else Adversary(state, self.policy)
-        if self.observer is not None:
-            self.observer(self.engine.now, "join", nid, None, ev)
+        self._notify("join", nid, None, ev)
         for mid, mon in self.monitors.items():
             mon.node_discovered(nid)
-            self._schedule_round(mid, nid, 0)
+            self._scan_soon(mid, nid)
 
     def _node_left(self, ev: NodeRemoved) -> None:
         nid = ev.node
@@ -253,15 +248,12 @@ class World:
         for p, _ in ev.rewired:
             self.nodes[p].forget(nid)
         del self.nodes[nid]
-        if self.observer is not None:
-            self.observer(self.engine.now, "leave", nid, None, ev)
+        self.ledger.forget(nid)
+        self._notify("leave", nid, None, ev)
         for mid, mon in self.monitors.items():
-            pending = self.pending[mid]
-            repair = mon.node_departed(nid)
-            self.engine.cancel(pending.pop(nid))
-            for p in repair:
-                self.engine.cancel(pending[p])
-                self._schedule_round(mid, p, 0)
+            self.engine.cancel(self.pending[mid].pop(nid))
+            for p in mon.node_departed(nid):
+                self._scan_soon(mid, p)
 
     def convert_to_malicious(self, nid: int, single: SingleBehavior | None = None) -> Adversary:
         """Test aid: flip an existing honest node to a malicious one."""
@@ -286,14 +278,19 @@ class World:
         self.nodes[a].forget(b)
         self.nodes[b].forget(a)
 
-    def _notify(self, kind: str, frm: int, to: int, data=None) -> None:
+    def _notify(self, kind: str, frm: int | None, to: int | None, data=None) -> None:
         if self.observer is not None:
             self.observer(self.engine.now, kind, frm, to, data)
 
     # -- scan scheduling ---------------------------------------------------------
 
-    def _schedule_round(self, mid: int, target: int, delay: int) -> None:
-        self.pending[mid][target] = self.engine.schedule(delay, "round_start", mid, target)
+    def _scan_soon(self, mid: int, target: int) -> None:
+        """Scan `target` now, replacing its pending `round_start`, or at its open round's close."""
+        if self.monitors[mid].request_scan(target):
+            pending, eng = self.pending[mid], self.engine
+            if target in pending:  # a join has no pending event yet
+                eng.cancel(pending[target])
+            pending[target] = eng.schedule(0, "round_start", mid, target)
 
     def _on_round_start(self, mid: int, target: int) -> None:
         marker = self.monitors[mid].start_round(target, self.rng_marker)
@@ -305,7 +302,9 @@ class World:
     def _on_round_timeout(self, mid: int, target: int) -> None:
         msg, delay = self.monitors[mid].close_round(target, self.rng_sched)
         self._send([(mid, target, msg)], "verified")
-        self._schedule_round(mid, target, max(0, delay - self.cfg.round_timeout_ms))
+        self.pending[mid][target] = self.engine.schedule(
+            max(0, delay - self.cfg.round_timeout_ms), "round_start", mid, target
+        )
 
     # -- message transport ---------------------------------------------------------
 
@@ -386,7 +385,6 @@ class World:
         truth = self.topo.peer_edges()
         c = classify_edges(snap.edges, truth)
         self.probes.append(ProbeSample(tp=c.tp, fp=c.fp, fn=c.fn, time_ms=self.engine.now))
-        if self.observer is not None:
-            self.observer(self.engine.now, "probe", None, None, (self.monitors, snap))
+        self._notify("probe", None, None, (self.monitors, snap))
         if self.engine.now + self.cfg.probe_every_ms <= self.cfg.duration_ms:
             self.engine.schedule(self.cfg.probe_every_ms, "probe")

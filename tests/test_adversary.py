@@ -79,7 +79,7 @@ def test_soft_variant_still_forwards_to_honest_outbound():
 
 
 def test_honest_target_marker_is_hidden_and_leaked_one_hop():
-    pol = make_policy(share_hops=1)
+    pol = make_policy(second_hop_p=0.0)
     d = colluder(pol, 1, out=(2,), inb=(9,))  # 9 is honest, edge 9->1
     colluder(pol, 2, inb=(1,))
     m = Marker(target=9, monitor=100, value=5)
@@ -90,7 +90,7 @@ def test_honest_target_marker_is_hidden_and_leaked_one_hop():
 
 
 def test_second_hop_leak_reaches_colluders_two_links_away():
-    pol = make_policy(share_hops=2)
+    pol = make_policy()  # second_hop_p = 1
     d = colluder(pol, 1, out=(2,), inb=(9,))
     colluder(pol, 2, inb=(1,), out=(4,))
     colluder(pol, 4, inb=(2,))
@@ -100,7 +100,7 @@ def test_second_hop_leak_reaches_colluders_two_links_away():
 
 
 def test_leak_skips_colluders_holding_the_real_edge():
-    pol = make_policy(share_hops=1)
+    pol = make_policy(second_hop_p=0.0)
     d = colluder(pol, 1, inb=(9,))
     colluder(pol, 2, out=(1,), inb=(9,))  # 9->2 is real: 2 stays silent
     m = Marker(target=9, monitor=100, value=5)
@@ -260,7 +260,7 @@ def test_behavior_6_drops_relays_only_for_listed_monitors():
 
 SHAPES = {
     "full_hiding": ({}, None),
-    "soft_hiding": ({"full_hiding": False, "share_hops": 1}, None),
+    "soft_hiding": ({"full_hiding": False, "second_hop_p": 0.0}, None),
     **{
         f"single_{b}": ({}, SingleBehavior(b, victim=33, drop_for=frozenset({100, 999})))
         for b in range(1, 7)

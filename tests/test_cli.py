@@ -84,6 +84,14 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+def test_share_hops_is_an_unknown_config_key(tmp_path, capsys):
+    # folded into second_hop_p: one-hop sharing is second_hop_p = 0
+    cfile = tmp_path / "c.conf"
+    cfile.write_text("share_hops = 1\n")
+    assert main(["run", "--config", str(cfile)]) == 2
+    assert "unknown config key 'share_hops'" in capsys.readouterr().err
+
+
 def test_invalid_settings_exit_2(capsys):
     assert main(["run", "--nodes", "0"]) == 2
     assert "error:" in capsys.readouterr().err

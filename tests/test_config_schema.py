@@ -34,7 +34,6 @@ FLAG_CASES = [
     ("--safe-rounds", "4", "safe_rounds", 4),
     ("--mode", "fixed", "scheduling_mode", "fixed"),
     ("--latency", "1,9", "latency_ms_range", (1, 9)),
-    ("--share-hops", "1", "share_hops", 1),
     ("--second-hop-p", "0.5", "second_hop_p", 0.5),
     ("--soft-hiding", None, "full_hiding", False),
     ("--malicious-refill", None, "malicious_refill", True),
@@ -200,7 +199,6 @@ def _reference_validate(cfg: ExperimentConfig) -> list[str]:
          f"unknown scheduling_mode {cfg.scheduling_mode!r}"),
         (not 0 <= cfg.latency_ms_range[0] <= cfg.latency_ms_range[1],
          "latency_ms_range must satisfy 0 <= lo <= hi"),
-        (not 1 <= cfg.share_hops <= 2, "share_hops must be 1 or 2"),
         (not 0.0 <= cfg.second_hop_p <= 1.0, "second_hop_p must be in [0, 1]"),
     ]
     if cfg.monitor_f_init is not None:
@@ -231,7 +229,6 @@ configs = st.builds(
     safe_rounds=small_int,
     scheduling_mode=st.sampled_from(["poisson", "fixed", "other"]),
     latency_ms_range=st.tuples(small_int, small_int),
-    share_hops=small_int,
     second_hop_p=finite,
     monitor_f_init=st.none() | st.lists(small_int, max_size=4).map(tuple),
 )

@@ -100,6 +100,17 @@ def test_ledger_books_both_endpoints():
     assert led.recv_of(100, "marker_to_monitor") == 1
 
 
+def test_ledger_forgets_a_node_in_every_kind_and_direction():
+    led = OverheadLedger()
+    led.count("marker_forwarded", 1, 2)
+    led.count("marker_to_monitor", 2, 100)
+    led.count("verified", 100, 2)
+    led.forget(2)
+    led.forget(7)  # never booked: nothing to drop
+    assert all(2 not in row for rows in (led.sent, led.recv) for row in rows.values())
+    assert led.sent_of(1, "marker_forwarded") == 1 and led.recv_of(100, "marker_to_monitor") == 1
+
+
 def test_ledger_rejects_unknown_kind():
     with pytest.raises(ValueError):
         OverheadLedger().count("gossip", 1, 2)

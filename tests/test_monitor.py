@@ -176,17 +176,29 @@ def test_departure_purges_edges_and_names_repair_targets():
     assert 3 not in mon.nodes and 3 not in mon.freq
 
 
-def test_departure_flags_open_rounds_and_returns_the_rest():
+def test_departure_returns_every_row_it_touched_and_flags_no_round():
     mon = monitor()
     run_round(mon, 1, [2, 3])
     run_round(mon, 4, [3])
     mon.start_round(1, random.Random(1))
-    assert mon.node_departed(3) == [4]  # row 1 waits for its open round
+    assert mon.node_departed(3) == [1, 4]  # open round on row 1 or not
+    assert mon.rounds[1].rescan is False  # flagging is request_scan's
+    assert mon.edges == {(1, 2)}
+
+
+def test_request_scan_flags_an_open_round_and_passes_an_idle_node():
+    mon = monitor()
+    run_round(mon, 1, [2])
+    assert mon.request_scan(1) is True  # idle: the caller scans it now
+    assert mon.rounds == {}
+    mon.start_round(1, random.Random(1))
+    assert mon.request_scan(1) is False
     assert mon.rounds[1].rescan is True
+    assert mon.request_scan(1) is False  # a second request is the same flag
     rng = random.Random(5)
     state = rng.getstate()
     _, delay = mon.close_round(1, rng)
-    assert delay == 0 and rng.getstate() == state  # repair at once, no draw
+    assert delay == 0 and rng.getstate() == state  # scan at once, no draw
     mon.start_round(1, random.Random(2))
     assert mon.close_round(1, rng)[1] >= 1000  # the flag went with its round
 

@@ -1,8 +1,8 @@
 """The per-node monitor view agrees with a flat (a, b) edge-set model under
 random sequences of discoveries, departures, rounds and row expiries: an
 edge enters only when a relay is accepted, and a round close never grows a
-row. A departure's repairs run at once or, for a row with an open round,
-when that round closes."""
+row. A departure returns every row that pointed at the departed node; a
+scan request on a row with an open round is served when that round closes."""
 from __future__ import annotations
 
 import random
@@ -58,7 +58,7 @@ class MonitorViewMachine(RuleBasedStateMachine):
         self.markers = []  # every marker issued, so stale ones get replayed
         self.priors: dict[int, frozenset[int]] = {}  # one per open round
         self.collected: dict[int, set[int]] = {}
-        self.flagged: set[int] = set()  # open rounds a departure asked to repair
+        self.flagged: set[int] = set()  # open rounds a scan request flagged
 
     @rule(n=IDS)
     def discover(self, n):
@@ -71,8 +71,15 @@ class MonitorViewMachine(RuleBasedStateMachine):
         self.collected.pop(n, None)
         self.flagged.discard(n)
         repair = self.model.departed(n)
-        assert self.mon.node_departed(n) == [a for a in repair if a not in self.priors]
-        self.flagged.update(a for a in repair if a in self.priors)
+        assert self.mon.node_departed(n) == repair
+        for a in repair:
+            self.request_scan(a)
+
+    @rule(n=IDS)
+    def request_scan(self, n):
+        assert self.mon.request_scan(n) is (n not in self.priors)
+        if n in self.priors:
+            self.flagged.add(n)
 
     def edges_under_scan(self) -> list[tuple[int, int]]:
         return sorted((t, p) for t, p in self.model.edges if t in self.priors and p != t)

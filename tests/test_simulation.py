@@ -85,7 +85,7 @@ def test_config_validation_collects_problems():
         ({"nodes": "5"}, "nodes must be an integer"),
         ({"nodes": True}, "nodes must be an integer"),  # it ran as one node
         ({"f_init": None}, "f_init must be an integer"),
-        ({"share_hops": "2"}, "share_hops must be an integer"),
+        ({"second_hop_p": "0"}, "second_hop_p must be finite"),
         ({"variability_s": "1"}, "variability_s must be finite"),
         ({"second_hop_p": None}, "second_hop_p must be finite"),
         ({"latency_ms_range": (5,)}, "latency_ms_range entries must be integers"),
@@ -543,6 +543,42 @@ def test_orphan_rewired_during_its_first_round_is_rescanned_at_once():
     assert now - opened <= bound, (opened, now)
 
 
+def test_scan_soon_starts_an_idle_node_now_and_flags_an_open_round():
+    w = World(small(monitors=1, round_timeout_ms=1_000))
+    (mid,) = w.monitors
+    mon, pending, eng = w.monitors[mid], w.pending[mid], w.engine
+    n = min(w.nodes)
+    eng.run_until(1_500)
+    waiting = pending[n]
+    assert eng.due(waiting) == (2_000, "round_start")  # f_init 2 s, fixed mode
+    w._scan_soon(mid, n)  # idle: the waiting start is replaced by one due now
+    assert eng.due(waiting) is None and eng.due(pending[n]) == (1_500, "round_start")
+    eng.run_until(1_500)
+    timeout = pending[n]
+    assert eng.due(timeout) == (2_500, "round_timeout")
+    w._scan_soon(mid, n)  # open round: its key stays and the round is flagged
+    assert pending[n] == timeout and mon.rounds[n].rescan
+    eng.run_until(2_499)
+    assert eng.due(timeout) == (2_500, "round_timeout")
+    eng.run_until(2_500)  # the close asks for the next round at once
+    assert eng.due(pending[n]) == (3_500, "round_timeout") and not mon.rounds[n].rescan
+    w._node_joined(w.topo.add_node(Role.HONEST, w.rng_topology))
+    assert eng.due(pending[max(w.nodes)]) == (2_500, "round_start")  # a join's first scan
+
+
+def test_a_churning_world_keeps_message_counters_of_live_ids_only():
+    cfg = ExperimentConfig(nodes=20, variability_s=0.5, malicious_pct=0.4,
+                           duration_ms=60_000, probe_every_ms=60_000, seed=1)
+    left = []
+    w = World(cfg, observer=lambda now, kind, frm, to, data: kind == "leave" and left.append(frm))
+    w.run()
+    live = set(w.topo.peers_alive()) | w.monitors.keys()
+    assert len(left) > 50
+    for rows in (w.ledger.sent, w.ledger.recv):
+        assert all(row.keys() <= live for row in rows.values())
+    assert w.ledger.sent["marker_from_monitor"].keys() == w.monitors.keys()
+
+
 @st.composite
 def valid_worlds(draw) -> ExperimentConfig:
     """Small configs that `validate()` accepts, drawn over every field a run
@@ -567,7 +603,6 @@ def valid_worlds(draw) -> ExperimentConfig:
         seed=draw(st.integers(0, 2**16)),
         latency_ms_range=(lo, hi),
         full_hiding=draw(st.booleans()),
-        share_hops=draw(st.integers(1, 2)),
         second_hop_p=draw(st.sampled_from([0.0, 0.5, 1.0])),
         malicious_refill=draw(st.booleans()),
         adaptive=draw(st.booleans()),
