@@ -140,9 +140,10 @@ class Adversary:
             return []  # clique-internal link stays hidden
         # hide the honest link, leak the nonce through the clique
         ring, second = pol.rings(st.id)
-        if second:
-            rand, p = pol.rng.random, pol.second_hop_p
-            ring = sorted(ring + [c for c in second if rand() < p])
+        p = pol.second_hop_p
+        if second and p:  # a draw per colluder only where it can go either way
+            second = second if p == 1 else [c for c in second if pol.rng.random() < p]
+            ring = sorted(ring + second)
         return self._fakes_for(ring, m)
 
     # -- isolated misbehaviors -------------------------------------------------------

@@ -4,6 +4,8 @@ the RNG substream and sampling helpers that callers draw from.
 All simulation time is integer milliseconds. Determinism contract: two engines
 that are given the same work in the same order fire the same events in the
 same order. The engine holds no seed, RNG or trace; the caller owns those.
+It holds a bound-method handler weakly, so an owner that registers its own
+methods (`World`) is in no cycle with it and is freed by refcounting alone.
 
 A scheduled event is one int key, `fire_at << SEQ_BITS | seq`, and the heap
 holds only keys: `seq` is unique and below `SEQ_LIMIT`, so key order is
@@ -18,7 +20,9 @@ import hashlib
 import math
 import random
 from heapq import heappop, heappush
+from types import MethodType
 from typing import Any, Callable
+from weakref import WeakMethod
 
 SimTime = int  # milliseconds
 
@@ -80,17 +84,14 @@ class Engine:
         self._heap: list[int] = []  # event keys
         self._events: dict[int, tuple[str, tuple]] = {}  # key -> (kind, data)
         self._seq = 0
-        self._handlers: dict[str, Callable[..., None]] = {}
+        self._handlers: dict[str, Callable[..., None] | WeakMethod] = {}
         self.events_processed = 0
 
     def on(self, kind: str, handler: Callable[..., None]) -> None:
-        self._handlers[kind] = handler
-
-    def close(self) -> None:
-        """Drop every handler. An owner that registered its bound methods is
-        then no longer in a cycle with this engine, so refcounting frees it
-        without waiting for the cyclic GC; a queued event then has no handler."""
-        self._handlers.clear()
+        """Fire `handler(*data)` for each event of `kind`. A bound method is held as
+        its `WeakMethod` (an event whose object is gone raises KeyError), any other
+        callable as it is. Registered during `run_until`, it fires from the next call."""
+        self._handlers[kind] = WeakMethod(handler) if type(handler) is MethodType else handler
 
     def schedule(self, delay_ms: int, kind: str, *data: Any) -> int:
         if delay_ms < 0:
@@ -117,7 +118,8 @@ class Engine:
         """Process every event with fire_at <= t_end; advance clock to t_end."""
         if t_end < self.now:
             raise ValueError(f"run_until({t_end}) would move the clock back from {self.now}")
-        heap, pop, handlers = self._heap, self._events.pop, self._handlers
+        heap, pop = self._heap, self._events.pop
+        handlers = {k: h() if type(h) is WeakMethod else h for k, h in self._handlers.items()}
         end = (t_end + 1) << SEQ_BITS  # the smallest key due after t_end
         processed = 0
         while heap and heap[0] < end:

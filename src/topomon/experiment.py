@@ -119,11 +119,7 @@ def run_experiment(
 ) -> RunReport:
     """Simulate one configuration and optionally stream its artifacts."""
     text = trace is not None or snapshots is not None
-    world = World(cfg, TextArtifacts(trace, snapshots) if text else None)
-    try:
-        samples = world.run()
-    finally:
-        world.engine.close()  # so the world is freed at return, not at the next GC pass
+    samples = World(cfg, TextArtifacts(trace, snapshots) if text else None).run()
     if raw is not None:
         raw.write(CSV_HEADER + "\n")
         for s in samples:
@@ -155,9 +151,9 @@ def process_pool(fn: Callable, items: Sequence) -> Iterator[Iterator]:
     """Yield `Executor.map(fn, items)`, in item order, from a fresh pool with
     one worker per available core; `items` must not be empty. A call that
     raises reaches the reader with the worker's traceback as `__cause__`.
-    Items go out in about 64 chunks per worker, so short calls share the
-    pool's per-call cost. If the block raises, the chunks not yet started
-    are dropped. No worker process outlives the block."""
+    Chunks hold ceil(len(items) / (64 * workers)) items, so many short calls
+    share the pool's per-call cost. If the block raises, the chunks not yet
+    started are dropped. No worker process outlives the block."""
     import concurrent.futures  # imported here: ~2 MB that only pools need
 
     affinity = getattr(os, "sched_getaffinity", None)  # missing on macOS and Windows

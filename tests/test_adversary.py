@@ -99,6 +99,30 @@ def test_second_hop_leak_reaches_colluders_two_links_away():
     assert relays_to_monitor(acts) == {(2, 100), (4, 100)}
 
 
+@pytest.mark.parametrize("p, relays", [(1.0, {(2, 100), (4, 100)}), (0.0, {(2, 100)})])
+def test_second_hop_draws_nothing_where_no_draw_can_change_it(p, relays):
+    pol = make_policy(second_hop_p=p)
+    d = colluder(pol, 1, out=(2,), inb=(9,))
+    colluder(pol, 2, inb=(1,), out=(4,))
+    colluder(pol, 4, inb=(2,))
+    before = pol.rng.getstate()
+    acts = d.handle_marker(9, Marker(target=9, monitor=100, value=5))
+    assert relays_to_monitor(acts) == relays
+    assert pol.rng.getstate() == before
+
+
+def test_partial_second_hop_draws_per_second_ring_colluder():
+    pol = make_policy(second_hop_p=0.5)
+    d = colluder(pol, 1, out=(2,), inb=(9,))
+    colluder(pol, 2, inb=(1,), out=(4,))
+    colluder(pol, 4, inb=(2,))
+    twin = random.Random()
+    twin.setstate(pol.rng.getstate())
+    d.handle_marker(9, Marker(target=9, monitor=100, value=5))
+    twin.random()  # one draw, for colluder 4
+    assert pol.rng.getstate() == twin.getstate()
+
+
 def test_leak_skips_colluders_holding_the_real_edge():
     pol = make_policy(second_hop_p=0.0)
     d = colluder(pol, 1, inb=(9,))

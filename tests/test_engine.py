@@ -1,8 +1,10 @@
 """Event-queue semantics and sampler distributions for the sim core."""
 from __future__ import annotations
 
+import gc
 import math
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,25 @@ from topomon.engine import SEQ_LIMIT, Engine, sample_exponential, sample_poisson
 
 def make_engine() -> Engine:
     return Engine()
+
+
+@pytest.fixture
+def no_cyclic_gc():
+    gc.collect()
+    gc.disable()
+    yield
+    gc.enable()
+
+
+class Owner:
+    """Registers its own method on the engine it holds, as `World` does."""
+
+    def __init__(self, eng: Engine) -> None:
+        self.engine, self.seen = eng, []
+        eng.on("x", self.hit)
+
+    def hit(self, tag) -> None:
+        self.seen.append(tag)
 
 
 # -- queue ordering ----------------------------------------------------------
@@ -50,6 +71,52 @@ def test_clock_is_additive_from_handler():
     eng.schedule(100, "arm")
     eng.run_until(2000)
     assert fired_at == [1100]
+
+
+def test_bound_method_handler_does_not_keep_its_object_alive(no_cyclic_gc):
+    eng = make_engine()
+    owner = Owner(eng)
+    eng.schedule(1, "x", "a")
+    eng.run_until(1)
+    assert owner.seen == ["a"]
+    ref = weakref.ref(owner)
+    del owner
+    assert ref() is None
+
+
+def test_event_whose_handler_object_is_gone_raises_naming_its_kind(no_cyclic_gc):
+    eng = make_engine()
+    owner = Owner(eng)
+    eng.schedule(1, "x", "a")
+    del owner
+    with pytest.raises(KeyError, match="'x'"):
+        eng.run_until(1)
+
+
+def test_lambda_handler_stays_registered_and_fires(no_cyclic_gc):
+    eng = make_engine()
+    seen = []
+    eng.on("x", lambda tag: seen.append(tag))
+    eng.schedule(1, "x", "a")
+    eng.run_until(1)
+    assert seen == ["a"]
+
+
+def test_handler_registered_during_a_run_fires_from_the_next_call():
+    eng = make_engine()
+    seen = []
+
+    def first(tag):
+        seen.append(tag)
+        eng.on("x", lambda tag: seen.append(tag.upper()))
+
+    eng.on("x", first)
+    eng.schedule(1, "x", "a")
+    eng.schedule(2, "x", "b")
+    eng.run_until(2)
+    eng.schedule(1, "x", "c")
+    eng.run_until(3)
+    assert seen == ["a", "b", "C"]
 
 
 def test_empty_run_advances_clock_only():

@@ -1,11 +1,14 @@
 """End-to-end behavior of the assembled world: exactness, determinism, enforcement."""
 from __future__ import annotations
 
+import gc
 import io
 import math
 import pickle
 import random
 import sys
+import weakref
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -579,6 +582,30 @@ def test_a_churning_world_keeps_message_counters_of_live_ids_only():
     assert w.ledger.sent["marker_from_monitor"].keys() == w.monitors.keys()
 
 
+def test_a_dropped_world_is_freed_at_once_whether_or_not_it_ran():
+    # with the cyclic GC off only refcounting can free a world; the minute run
+    # takes departures, bans, refills and the colluders' ring cache
+    cfg = ExperimentConfig(nodes=50, variability_s=0.5, malicious_pct=0.4,
+                           duration_ms=60_000, probe_every_ms=60_000, seed=1)
+    kinds = Counter()
+    gc.collect()
+    gc.disable()
+    try:
+        w = World(cfg)
+        unrun = weakref.ref(w)
+        del w
+        assert unrun() is None
+        w = World(cfg, observer=lambda now, kind, *_: kinds.update((kind,)))
+        w.run()
+        assert kinds["leave"] and kinds["disconnect"] and kinds["refill"]
+        assert w.policy._rings  # the ring cache holds rows
+        ran = weakref.ref(w)
+        del w
+        assert ran() is None
+    finally:
+        gc.enable()
+
+
 @st.composite
 def valid_worlds(draw) -> ExperimentConfig:
     """Small configs that `validate()` accepts, drawn over every field a run
@@ -641,8 +668,8 @@ def test_event_count_stays_within_the_closed_form_bound(cfg):
     """
     w = World(cfg)
     fired = dict.fromkeys(("probe", "churn", "round_start", "round_timeout", "deliver"), 0)
-    for kind, handler in list(w.engine._handlers.items()):
-        def counted(*data, kind=kind, handler=handler):
+    for kind, ref in list(w.engine._handlers.items()):
+        def counted(*data, kind=kind, handler=ref()):  # World's handlers are WeakMethods
             fired[kind] += 1
             handler(*data)
         w.engine.on(kind, counted)
