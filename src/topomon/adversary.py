@@ -28,7 +28,7 @@ import random
 from dataclasses import dataclass
 
 from topomon.protocol import OWN_PROBE, Marker, NodeState, Send, new
-from topomon.topology import Role, Topology
+from topomon.topology import MALICIOUS, Topology
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,7 @@ class AdversaryPolicy:
         self._rings_at = -1  # the clique_version `_rings` was filled at
 
     def is_colluder(self, node_id: int) -> bool:
-        return self.topo.roles.get(node_id) is Role.MALICIOUS
+        return self.topo.roles.get(node_id) is MALICIOUS
 
     def rings(self, node_id: int) -> tuple[list[int], list[int]]:
         """The colluders adjacent to `node_id`, and those two links away but
@@ -85,12 +85,12 @@ class AdversaryPolicy:
             self._rings_at, self._rings = t.clique_version, {}
         got = self._rings.get(node_id)
         if got is None:
-            roles, mal = t.roles, Role.MALICIOUS
+            roles = t.roles
 
             def adjacent(n: int) -> set[int]:
-                return {p for p in t.out[n] | t.inb[n] if roles[p] is mal}
+                return {p for p in t.out[n] | t.inb[n] if roles[p] is MALICIOUS}
 
-            first = adjacent(node_id) if roles.get(node_id) is mal else set()
+            first = adjacent(node_id) if roles.get(node_id) is MALICIOUS else set()
             second = set().union(*map(adjacent, first)) - first - {node_id}
             got = self._rings[node_id] = (sorted(first), sorted(second))
         return got

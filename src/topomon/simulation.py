@@ -43,7 +43,7 @@ from topomon.engine import POISSON_MAX_MEAN, Engine, sample_exponential, substre
 from topomon.metrics import ConfusionCounts, OverheadLedger, classify_edges
 from topomon.monitor import SCHEDULING_MODES, Monitor, compute_global_snapshot
 from topomon.protocol import NodeState, monitor_slots
-from topomon.topology import NodeAdded, NodeRemoved, Role, Topology
+from topomon.topology import HONEST, MALICIOUS, NodeAdded, NodeRemoved, Topology
 
 
 class ConfigInvalid(Exception):
@@ -235,7 +235,7 @@ class World:
             outbound=topo.out[nid],
             inbound=topo.inb[nid],
         )
-        self.nodes[nid] = state if ev.role is Role.HONEST else Adversary(state, self.policy)
+        self.nodes[nid] = state if ev.role is HONEST else Adversary(state, self.policy)
         self._notify("join", nid, None, ev)
         for mid, mon in self.monitors.items():
             mon.node_discovered(nid)
@@ -257,9 +257,9 @@ class World:
 
     def convert_to_malicious(self, nid: int, single: SingleBehavior | None = None) -> Adversary:
         """Test aid: flip an existing honest node to a malicious one."""
-        if self.topo.roles.get(nid) is not Role.HONEST:
+        if self.topo.roles.get(nid) is not HONEST:
             raise ValueError(f"node {nid} is not a live honest node")
-        self.topo.set_role(nid, Role.MALICIOUS)
+        self.topo.set_role(nid, MALICIOUS)
         adv = Adversary(self.nodes[nid], self.policy, single)
         self.nodes[nid] = adv
         return adv
@@ -354,7 +354,7 @@ class World:
         self._refill(edge[0])
 
     def _refill(self, nid: int) -> None:
-        if self.topo.roles[nid] is Role.MALICIOUS and not self.cfg.malicious_refill:
+        if self.topo.roles[nid] is MALICIOUS and not self.cfg.malicious_refill:
             return
         while len(self.topo.out[nid]) < self.cfg.outbound_per_node:
             t = self.topo.open_random_edge(nid, self.rng_topology)

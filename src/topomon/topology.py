@@ -28,9 +28,8 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from dataclasses import dataclass
 from enum import Enum
-from typing import Collection
+from typing import Collection, NamedTuple
 
 
 class Role(str, Enum):
@@ -38,7 +37,9 @@ class Role(str, Enum):
     MALICIOUS = "malicious"
 
 
-_MALICIOUS = Role.MALICIOUS  # for per-link code: enum attribute loads are slow
+# Every role check compares with these: on CPython 3.11 a member read through
+# `Role` costs about ten times a module constant's load.
+HONEST, MALICIOUS = Role.HONEST, Role.MALICIOUS
 
 
 class TopologyError(Exception):
@@ -61,15 +62,15 @@ class BannedPeer(TopologyError):
     pass
 
 
-@dataclass(frozen=True)
-class NodeAdded:
+# Membership events are named tuples built with `tuple.__new__`, which skips
+# the NamedTuple's Python-level `__new__`, as `protocol`'s messages are.
+class NodeAdded(NamedTuple):
     node: int
     role: Role
     targets: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class NodeRemoved:
+class NodeRemoved(NamedTuple):
     node: int
     role: Role
     severed_out: tuple[int, ...]  # targets that lost this node as inbound peer
@@ -103,7 +104,7 @@ class Topology:
         return self._alive[:]
 
     def malicious_alive(self) -> list[int]:
-        return [n for n in self.out if self.roles[n] is Role.MALICIOUS]
+        return [n for n in self.out if self.roles[n] is MALICIOUS]
 
     def population(self) -> int:
         return len(self._alive)
@@ -123,17 +124,17 @@ class Topology:
         self.roles[nid] = role
         self.out[nid] = set()
         self.inb[nid] = set()
-        self.malicious_count += role is Role.MALICIOUS
-        self.clique_version += role is Role.MALICIOUS
+        self.malicious_count += role is MALICIOUS
+        self.clique_version += role is MALICIOUS
         for t in targets:
             self.open_connection(nid, t)
-        return NodeAdded(nid, role, targets)
+        return tuple.__new__(NodeAdded, (nid, role, targets))
 
     def set_role(self, nid: int, role: Role) -> None:
         """The only way to change a live node's role after it joins."""
         if nid not in self.out:
             raise UnknownNode(str(nid))
-        self.malicious_count += (role is Role.MALICIOUS) - (self.roles.get(nid) is Role.MALICIOUS)
+        self.malicious_count += (role is MALICIOUS) - (self.roles.get(nid) is MALICIOUS)
         self.clique_version += 1
         self.roles[nid] = role
 
@@ -150,7 +151,7 @@ class Topology:
             raise BannedPeer(f"{a}->{b}")
         self.out[a].add(b)
         self.inb[b].add(a)
-        if self.roles[a] is self.roles[b] is _MALICIOUS:
+        if self.roles[a] is self.roles[b] is MALICIOUS:
             self.clique_version += 1
 
     def close_connection(self, a: int, b: int) -> None:
@@ -158,7 +159,7 @@ class Topology:
             raise UnknownNode(f"no edge {a}->{b}")
         self.out[a].discard(b)
         self.inb[b].discard(a)
-        if self.roles[a] is self.roles[b] is _MALICIOUS:
+        if self.roles[a] is self.roles[b] is MALICIOUS:
             self.clique_version += 1
 
     def ban(self, a: int, b: int) -> None:
@@ -203,22 +204,22 @@ class Topology:
             if not row:
                 del self.banned[p]
         del self._alive[bisect_left(self._alive, node)]
-        self.malicious_count -= role is Role.MALICIOUS
-        self.clique_version += role is Role.MALICIOUS
+        self.malicious_count -= role is MALICIOUS
+        self.clique_version += role is MALICIOUS
         rewired = tuple((p, self.open_random_edge(p, rng)) for p in orphans)
-        return NodeRemoved(node, role, severed, rewired)
+        return tuple.__new__(NodeRemoved, (node, role, severed, rewired))
 
     # -- churn -------------------------------------------------------------
 
     def steer_add_role(self, malicious_fraction: float) -> Role:
         want = malicious_fraction * (self.population() + 1)
-        return Role.MALICIOUS if self.malicious_count < want - 0.5 else Role.HONEST
+        return MALICIOUS if self.malicious_count < want - 0.5 else HONEST
 
     def steer_remove_node(self, malicious_fraction: float, rng: random.Random) -> int:
         mal, pop = self.malicious_count, self.population()
         want = malicious_fraction * (pop - 1)
         over_quota = mal > 0 and mal >= want + 0.5
-        role = Role.MALICIOUS if over_quota or mal == pop else Role.HONEST
+        role = MALICIOUS if over_quota or mal == pop else HONEST
         return rng.choice([n for n in self.out if self.roles[n] is role])
 
     def churn_tick(
@@ -266,7 +267,7 @@ class Topology:
                     bad.append(f"banned pair still connected {a}~{b}")
         if self._alive != sorted(self.out):
             bad.append("live id list differs from the ascending live ids")
-        mal = sum(r is Role.MALICIOUS for r in self.roles.values())
+        mal = sum(r is MALICIOUS for r in self.roles.values())
         if mal != self.malicious_count:
             bad.append(f"malicious count {self.malicious_count}, recount {mal}")
         return bad
@@ -286,7 +287,7 @@ class Topology:
 
     def to_dot(self, monitors: Collection[int], *, include_monitors: bool = False) -> str:
         shapes = dict.fromkeys(monitors, "diamond")
-        shapes.update((n, "box" if r is _MALICIOUS else "ellipse") for n, r in self.roles.items())
+        shapes.update((n, "box" if r is MALICIOUS else "ellipse") for n, r in self.roles.items())
         out = ["digraph overlay {"]
         out += [f'  n{n} [label="{n}" shape={shapes[n]}];' for n in sorted(shapes)]
         for a, b in self.links(monitors, include_monitors=include_monitors):

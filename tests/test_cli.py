@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topomon import cli
+from topomon import cli, experiment
 from topomon.cli import audit_rows, load_config_file, main
 from topomon.simulation import ExperimentConfig
 
@@ -145,6 +145,35 @@ def test_whole_number_percent_is_written_whole(tmp_path):
     raw = (tmp_path / "sweep_raw.csv").read_text().splitlines()[1:]
     summary = (tmp_path / "sweep_summary.csv").read_text().splitlines()[1:]
     assert [r.split(",")[1] for r in raw] == [s.split(",")[1] for s in summary] == ["7", "29"]
+
+
+_run_experiment = experiment.run_experiment
+
+
+def _fails_at_7_pct(cfg: ExperimentConfig):
+    if cfg.malicious_pct == 0.07:
+        raise KeyError(cfg.seed)
+    return _run_experiment(cfg)
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork", reason="the patch reaches only forked workers"
+)
+def test_sweep_with_a_failed_run_exits_1_and_still_writes_both_csvs(tmp_path, capsys, monkeypatch):
+    # patched before the pool forks, so every worker fails the 7% cell's run
+    monkeypatch.setattr(experiment, "run_experiment", _fails_at_7_pct)
+    rc = main(["sweep", "--nodes", "10", "--monitors", "2", "--duration-ms", "4000",
+               "--probe-every-ms", "4000", "--vars", "0", "--pcts", "0,7", "--repeats", "1",
+               "--seed", "5", "--out", str(tmp_path)])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert err == "FAILED var=0 mal=7% seed=5: KeyError(5)\n"  # not 7.000000000000001%
+    assert "var=0s malicious=7%: precision=n/a recall=n/a (0 runs)" in out
+    raw = (tmp_path / "sweep_raw.csv").read_text().splitlines()[1:]
+    summary = (tmp_path / "sweep_summary.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[:3] for r in raw] == [["0", "0", "5"]]
+    assert [s.split(",")[1] for s in summary] == ["0", "7"]
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize(

@@ -343,6 +343,11 @@ def test_exponential_mean_and_floor():
     assert min(tiny) == 1
 
 
+def test_exponential_rejects_nonpositive_mean():
+    with pytest.raises(ValueError, match="mean_ms must be positive"):
+        sample_exponential(random.Random(0), 0)
+
+
 def test_exponential_deterministic_under_seed():
     xs = [sample_exponential(random.Random(5), 300.0) for _ in range(4)]
     ys = [sample_exponential(random.Random(5), 300.0) for _ in range(4)]

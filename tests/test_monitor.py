@@ -252,6 +252,17 @@ def test_frequency_stays_bounded(cs):
         assert 1 <= mon.freq[1] <= 10
 
 
+@pytest.mark.parametrize(
+    "kwargs, problem",
+    [({"f_init": 11, "f_max": 10}, "need f_min <= f_init <= f_max"),
+     ({"mode": "x"}, "unknown scheduling mode 'x'")],
+    ids=["f_init-above-f_max", "unknown-mode"],
+)
+def test_monitor_rejects_bad_frequencies_and_modes(kwargs, problem):
+    with pytest.raises(ValueError, match=f"^{problem}$"):
+        Monitor(100, **kwargs)
+
+
 def test_fixed_mode_delay_is_exact():
     mon = monitor(mode="fixed")
     mon.freq[1] = 7

@@ -16,6 +16,7 @@ from topomon.topology import (
     NodeRemoved,
     Role,
     Topology,
+    TopologyError,
     UnknownNode,
 )
 
@@ -78,6 +79,11 @@ def test_mutual_duplicate_and_banned_edges_rejected():
         topo.open_connection(2, 0)
     with pytest.raises(UnknownNode):
         topo.open_connection(0, 99)
+    with pytest.raises(TopologyError, match="^self edge$"):
+        topo.open_connection(0, 0)
+    with pytest.raises(UnknownNode, match="^no edge 1->0$"):
+        topo.close_connection(1, 0)  # 0 -> 1 is the live direction
+    assert topo.out == {0: {1}, 1: set(), 2: set()} and topo.inb == {0: set(), 1: {0}, 2: set()}
 
 
 def test_remove_without_inbound_rewires_nothing():
